@@ -26,13 +26,15 @@ from .core import (
     COMPUTE,
     SEND,
     Action,
+    DisconnectedGraphError,
     Graph,
     NetworkParams,
     Schedule,
     TokenState,
     ceil_log2,
     initial_state,
-    simulate,
+    replay_events,
+    simulate,  # noqa: F401  (bench/test_bench.py checks tracing restores approx.simulate)
     validate_schedule,
 )
 from .paths import DirectedPathSet, excise_loops
@@ -634,11 +636,14 @@ def solve_tc(g: Graph, p: NetworkParams, seed: int, report: list | None = None) 
 
     Deterministic for fixed (graph, params, seed).  Falls back to direct
     pairing when fewer than FALLBACK_W + 1 holders remain or an iteration
-    yields no usable paths.  Raises IterationCapError after
-    24 * ceil(log2 n) + 8 iterations (which indicates a bug, not bad luck).
+    yields no usable paths.  Raises DisconnectedGraphError on a disconnected
+    graph, and IterationCapError after 24 * ceil(log2 n) + 8 iterations
+    (which indicates a bug, not bad luck).
     """
     if not g.is_connected():
-        raise ValueError("graph must be connected")
+        raise DisconnectedGraphError(
+            "graph is disconnected; aggregation to one token is unsolvable"
+        )
     if g.n == 1:
         return Schedule(0)
     state = initial_state(g)
@@ -650,8 +655,7 @@ def solve_tc(g: Graph, p: NetworkParams, seed: int, report: list | None = None) 
         nonlocal state, offset
         if frag.actions:
             shifted = frag.shifted(offset)
-            trace = simulate(g, p, shifted, start=state)
-            state = trace[-1]
+            state = replay_events(g, p, shifted, start=state)[0]
             fragments.append(shifted)
             if report is not None:
                 report.append(IterationStats(*stats_prefix, frag.length, router))

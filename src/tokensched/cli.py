@@ -79,7 +79,7 @@ def _report(args, g: Graph, p: NetworkParams, length: int, seed, started: float)
     lbs = lower_bounds(g, p)
     ratio = length / lbs[2] if lbs[2] > 0 else float("nan")
     print(
-        f"# cmd={args.command} n={g.n} m={len(g.edges)} diameter={g.diameter()} "
+        f"# cmd={args.command} n={g.n} m={g.m} diameter={g.diameter()} "
         f"radius={g.radius()} t_c={p.t_c} t_m={p.t_m} length={length} "
         f"compute_lb={lbs[0]} radius_lb={lbs[1]} combined_lb={lbs[2]} "
         f"ratio={ratio:.3f} seed={seed} wall={time.perf_counter() - started:.3f}s",

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
+from heapq import heappop, heappush
 
 SEND = "SEND"
 COMPUTE = "COMPUTE"
@@ -37,34 +39,41 @@ class InvalidScheduleError(ValueError):
 
 
 class Graph:
-    """Undirected simple graph on nodes 0..n-1."""
+    """Undirected simple graph on nodes 0..n-1, stored as adjacency sets only.
+
+    Duplicate edges (in either orientation) collapse into one.  The canonical
+    edge set is built on first use of `edges`; the edge count `m` comes from
+    the node degrees.
+    """
 
     def __init__(self, n: int, edges):
         if n < 1:
             raise MalformedInputError(f"node count must be >= 1, got {n}")
-        canon = set()
+        adj = [set() for _ in range(n)]
         for u, v in edges:
             if u == v:
                 raise MalformedInputError(f"self-loop at node {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise MalformedInputError(f"edge ({u}, {v}) out of range for n={n}")
-            canon.add((min(u, v), max(u, v)))
-        self.n = n
-        self.edges = frozenset(canon)
-        adj = [set() for _ in range(n)]
-        for u, v in self.edges:
             adj[u].add(v)
             adj[v].add(u)
-        self.adj = tuple(frozenset(s) for s in adj)
+        self.n = n
+        self.adj = tuple(map(frozenset, adj))
+        self.m = sum(map(len, self.adj)) // 2
+
+    @cached_property
+    def edges(self) -> frozenset:
+        """Every edge once, as (u, v) with u < v."""
+        return frozenset((u, v) for u, nbrs in enumerate(self.adj) for v in nbrs if u < v)
 
     def __eq__(self, other):
-        return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
+        return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 
     def __hash__(self):
         return hash((self.n, self.edges))
 
     def __repr__(self):
-        return f"Graph(n={self.n}, m={len(self.edges)})"
+        return f"Graph(n={self.n}, m={self.m})"
 
     def neighbors(self, v: int) -> frozenset:
         return self.adj[v]
@@ -76,7 +85,7 @@ class Graph:
         return max((len(a) for a in self.adj), default=0)
 
     def is_complete(self) -> bool:
-        return len(self.edges) == self.n * (self.n - 1) // 2
+        return self.m == self.n * (self.n - 1) // 2
 
     def bfs_distances(self, source: int) -> list:
         """Hop distances from source; -1 for unreachable nodes."""
@@ -94,7 +103,9 @@ class Graph:
     def is_connected(self) -> bool:
         return all(d >= 0 for d in self.bfs_distances(0))
 
-    def _eccentricities(self) -> list:
+    @cached_property
+    def _eccentricities(self) -> tuple:
+        """All-pairs BFS, run once per graph (graphs are immutable)."""
         eccs = []
         for v in range(self.n):
             dist = self.bfs_distances(v)
@@ -103,13 +114,13 @@ class Graph:
                     "graph is disconnected; aggregation to one token is unsolvable"
                 )
             eccs.append(max(dist))
-        return eccs
+        return tuple(eccs)
 
     def radius(self) -> int:
-        return min(self._eccentricities())
+        return min(self._eccentricities)
 
     def diameter(self) -> int:
-        return max(self._eccentricities())
+        return max(self._eccentricities)
 
 
 @dataclass(frozen=True)
@@ -233,97 +244,135 @@ def initial_state(g: Graph) -> TokenState:
     return TokenState(tuple((frozenset([v]),) for v in range(g.n)))
 
 
-class _Replay:
-    """Round-by-round engine shared by the validator and the simulator.
+_MERGE, _DELIVER = 0, 1  # merges land before deliveries within a round
 
-    Start-of-round effects (deliveries, merge completions) are applied before
-    that round's actions are checked and started.  Rule violations raise
-    InvalidScheduleError; malformed actions raise MalformedInputError.
+
+class _Replay:
+    """The one replay engine, shared by the validator and the simulator:
+    constructing it replays the schedule to its end.
+
+    It walks the actions in canonical order while a heap holds the effects
+    (deliveries, merge completions) still to land, so a replay costs
+    O(A log A) in the number of actions A, whatever the declared length.
+    Every effect landing at or before a round is applied before that round's
+    actions are checked and started; within a round, merge completions land
+    first (by node), then deliveries (by sender, target), so a delivered token
+    is always newer in acquisition order than a merge finishing that round.
+
+    Tokens are integer handles carrying their lowest singleton id; contents
+    are built only when a caller reads them.  Rule violations raise
+    InvalidScheduleError; malformed actions raise MalformedInputError.  An
+    action outside [1, length] raises its window violation when the walk
+    reaches it, after every earlier action.
     """
 
-    def __init__(self, g: Graph, p: NetworkParams, length: int,
-                 start: TokenState | None = None, record_events: bool = False):
-        if start is not None and len(start.holdings) != g.n:
-            raise MalformedInputError("token state does not match graph size")
-        state = start if start is not None else initial_state(g)
-        self.g = g
-        self.p = p
-        self.length = length
-        self.holdings = [list(h) for h in state.holdings]
-        self.busy_until = [0] * g.n
-        self.effects = {}  # round -> effects applied at the start of that round
-        # ("deliver", round, sender, target, tok) / ("merge", round, node, a, b)
-        self.events = [] if record_events else None
-
-    def apply_effects(self, round_: int):
-        # Merge completions land before deliveries so a delivered token is
-        # always newer in acquisition order than a merge finishing that round.
-        pending = self.effects.pop(round_, [])
-        pending.sort(key=lambda e: (0 if e[0] == "merge" else 1, e[1], e[2]))
-        for eff in pending:
-            if eff[0] == "merge":
-                _, node, _, a, b = eff
-                self.holdings[node].remove(a)
-                self.holdings[node].remove(b)
-                self.holdings[node].append(a | b)
-                if self.events is not None:
-                    self.events.append(("merge", round_, node, a, b))
-            else:
-                _, sender, target, tok = eff
-                self.holdings[sender].remove(tok)
-                self.holdings[target].append(tok)
-                if self.events is not None:
-                    self.events.append(("deliver", round_, sender, target, tok))
-
-    def start_action(self, a: Action):
-        g = self.g
-        if not (0 <= a.node < g.n):
-            raise MalformedInputError(f"action names unknown node {a.node}")
-        if a.kind == SEND:
-            if not (0 <= a.target < g.n) or a.target == a.node:
-                raise MalformedInputError(
-                    f"round {a.start_round}: node {a.node} sends to invalid node {a.target}"
-                )
-            if not g.has_edge(a.node, a.target):
-                raise MalformedInputError(
-                    f"round {a.start_round}: nodes {a.node} and {a.target} are not neighbors"
-                )
-        r = a.start_round
-        dur = self.p.duration(a.kind)
-        if r < 1 or r + dur - 1 > self.length:
-            raise InvalidScheduleError(
-                r, a.node, "d",
-                f"{a.kind} occupies [{r}, {r + dur - 1}] outside [1, {self.length}]",
-            )
-        if self.busy_until[a.node] >= r:
-            raise InvalidScheduleError(
-                r, a.node, "c", f"node busy until round {self.busy_until[a.node]}"
-            )
-        held = self.holdings[a.node]
-        if a.kind == SEND:
-            if not held:
-                raise InvalidScheduleError(r, a.node, "a", "send with no token in hand")
-            if a.token is not None:
-                matches = [t for t in held if min(t) == a.token]
-                if not matches:
-                    raise InvalidScheduleError(r, a.node, "a", f"named token {a.token} not held")
-                tok = matches[0]
-            else:
-                tok = held[0]  # oldest-acquired
-            self.busy_until[a.node] = r + dur - 1
-            self.effects.setdefault(r + dur, []).append(("deliver", a.node, a.target, tok))
+    def __init__(self, g: Graph, p: NetworkParams, s: Schedule,
+                 start: TokenState | None = None, record_events: bool = False,
+                 record_states: bool = False):
+        if start is None:
+            self.sets = [None] * g.n  # handle -> contents, None until first read
+            self.min_id = list(range(g.n))  # handle -> lowest singleton id
+            self.holdings = [[v] for v in range(g.n)]
         else:
-            if len(held) < 2:
-                raise InvalidScheduleError(
-                    r, a.node, "b", f"compute with {len(held)} token(s) in hand"
-                )
-            self.busy_until[a.node] = r + dur - 1
-            self.effects.setdefault(r + dur, []).append(
-                ("merge", a.node, a.node, held[0], held[1])  # two oldest-acquired
-            )
+            if len(start.holdings) != g.n:
+                raise MalformedInputError("token state does not match graph size")
+            self.sets = [t for h in start.holdings for t in h]
+            self.min_id = [min(t) for t in self.sets]
+            handles = iter(range(len(self.sets)))
+            self.holdings = [[next(handles) for _ in h] for h in start.holdings]
+        self.parts = [None] * len(self.sets)  # handle -> merged operand handles
+        self.events = [] if record_events else None  # landed effects, in order
+        # (landing round, TokenState after that round's effects), from the start
+        self.states = [(1, self.state())] if record_states else None
+        self._run(g, p, s)
 
-    def snapshot(self) -> TokenState:
-        return TokenState(tuple(tuple(h) for h in self.holdings))
+    def contents(self, tok: int) -> frozenset:
+        """The singleton ids in a token, built (and kept) on first read."""
+        sets, parts = self.sets, self.parts
+        stack = [tok]
+        while stack:
+            top = stack[-1]
+            if sets[top] is None:
+                if parts[top] is None:  # a singleton of the default start
+                    sets[top] = frozenset([self.min_id[top]])
+                else:
+                    a, b = parts[top]
+                    if sets[a] is None or sets[b] is None:
+                        stack.extend(x for x in (a, b) if sets[x] is None)
+                        continue
+                    sets[top] = sets[a] | sets[b]
+            stack.pop()
+        return sets[tok]
+
+    def state(self) -> TokenState:
+        return TokenState(tuple(tuple(map(self.contents, h)) for h in self.holdings))
+
+    def _run(self, g: Graph, p: NetworkParams, s: Schedule):
+        length = s.length
+        duration = {SEND: p.t_m, COMPUTE: p.t_c}
+        holdings, sets, parts, min_id = self.holdings, self.sets, self.parts, self.min_id
+        events, states = self.events, self.states
+        busy_until = [0] * g.n
+        pending = []  # heap of (round, _MERGE/_DELIVER, node, target, a, b)
+        for a in (*s.actions, None):
+            now = length + 1 if a is None else a.start_round
+            while pending and pending[0][0] <= now:
+                effect = heappop(pending)
+                r, kind, node, target, x, y = effect
+                held = holdings[node]
+                held.remove(x)
+                if kind == _MERGE:
+                    held.remove(y)
+                    held.append(len(min_id))
+                    min_id.append(min(min_id[x], min_id[y]))
+                    parts.append((x, y))
+                    sets.append(None)
+                else:
+                    holdings[target].append(x)
+                if events is not None:
+                    events.append(effect)
+                if states is not None and (not pending or pending[0][0] != r):
+                    states.append((r, self.state()))
+            if a is None:
+                return
+            v = a.node
+            if not (0 <= v < g.n):
+                raise MalformedInputError(f"action names unknown node {v}")
+            if a.kind == SEND:
+                if not (0 <= a.target < g.n) or a.target == v:
+                    raise MalformedInputError(
+                        f"round {now}: node {v} sends to invalid node {a.target}"
+                    )
+                if a.target not in g.adj[v]:
+                    raise MalformedInputError(
+                        f"round {now}: nodes {v} and {a.target} are not neighbors"
+                    )
+            dur = duration[a.kind]
+            if now < 1 or now + dur - 1 > length:
+                raise InvalidScheduleError(
+                    now, v, "d",
+                    f"{a.kind} occupies [{now}, {now + dur - 1}] outside [1, {length}]",
+                )
+            if busy_until[v] >= now:
+                raise InvalidScheduleError(now, v, "c", f"node busy until round {busy_until[v]}")
+            held = holdings[v]
+            if a.kind == SEND:
+                if not held:
+                    raise InvalidScheduleError(now, v, "a", "send with no token in hand")
+                if a.token is None:
+                    tok = held[0]  # oldest-acquired
+                else:
+                    tok = next((t for t in held if min_id[t] == a.token), None)
+                    if tok is None:
+                        raise InvalidScheduleError(now, v, "a", f"named token {a.token} not held")
+                heappush(pending, (now + dur, _DELIVER, v, a.target, tok, -1))
+            else:
+                if len(held) < 2:
+                    raise InvalidScheduleError(
+                        now, v, "b", f"compute with {len(held)} token(s) in hand"
+                    )
+                heappush(pending, (now + dur, _MERGE, v, v, held[0], held[1]))  # two oldest
+            busy_until[v] = now + dur - 1
 
 
 def simulate(g: Graph, p: NetworkParams, s: Schedule,
@@ -335,41 +384,13 @@ def simulate(g: Graph, p: NetworkParams, s: Schedule,
     Raises InvalidScheduleError when the schedule breaks a structural rule
     (bad window, busy overlap, send without a token, compute without two).
     Full aggregation is not required; callers inspect the final state.
+    Boundaries where nothing landed share one TokenState object.
     """
-    eng = _Replay(g, p, s.length, start)
-    by_round = {}
-    for a in s.actions:
-        by_round.setdefault(a.start_round, []).append(a)
-    for r in sorted(k for k in by_round if k < 1):
-        eng.start_action(by_round[r][0])  # raises the window violation
-    trace = [eng.snapshot()]
-    for r in range(1, s.length + 1):
-        eng.apply_effects(r)
-        for a in by_round.get(r, []):
-            eng.start_action(a)
-        eng.apply_effects(r + 1)
-        trace.append(eng.snapshot())
-    for r in sorted(k for k in by_round if k > s.length):
-        eng.start_action(by_round[r][0])  # raises the window violation
+    states = _Replay(g, p, s, start, record_states=True).states
+    trace = []
+    for (_, state), (landed, _) in zip(states, states[1:] + [(s.length + 2, None)]):
+        trace.extend([state] * (landed - 1 - len(trace)))
     return trace
-
-
-def _run(g: Graph, p: NetworkParams, s: Schedule, start: TokenState | None,
-         record_events: bool) -> _Replay:
-    eng = _Replay(g, p, s.length, start, record_events)
-    by_round = {}
-    for a in s.actions:
-        by_round.setdefault(a.start_round, []).append(a)
-    for r in sorted(k for k in by_round if k < 1):
-        eng.start_action(by_round[r][0])  # raises the window violation
-    for r in range(1, s.length + 1):
-        eng.apply_effects(r)
-        for a in by_round.get(r, []):
-            eng.start_action(a)
-    for r in sorted(k for k in by_round if k > s.length):
-        eng.start_action(by_round[r][0])  # raises the window violation
-    eng.apply_effects(s.length + 1)
-    return eng
 
 
 def replay_events(g: Graph, p: NetworkParams, s: Schedule,
@@ -380,8 +401,14 @@ def replay_events(g: Graph, p: NetworkParams, s: Schedule,
     ("merge", round, node, operand_a, operand_b), where `round` is the round
     at whose start the effect lands, in application order.
     """
-    eng = _run(g, p, s, start, record_events=True)
-    return eng.snapshot(), eng.events
+    eng = _Replay(g, p, s, start, record_events=True)
+    tok = eng.contents
+    events = [
+        ("merge", r, node, tok(a), tok(b)) if kind == _MERGE
+        else ("deliver", r, node, target, tok(a))
+        for r, kind, node, target, a, b in eng.events
+    ]
+    return eng.state(), events
 
 
 def validate_schedule(g: Graph, p: NetworkParams, s: Schedule,
@@ -394,12 +421,14 @@ def validate_schedule(g: Graph, p: NetworkParams, s: Schedule,
     (c) one action at a time per node,
     (d) every occupancy window fits in [1, length],
     (e) exactly one token remains after the last round.
+
+    Costs O(A log A) in the number of actions A, not in the declared length.
     """
     try:
-        final_state = _run(g, p, s, start, record_events=False).snapshot()
+        eng = _Replay(g, p, s, start)
     except InvalidScheduleError as e:
         return ValidationReport(False, (e.round, e.node, e.rule, e.message), -1)
-    final = final_state.total_tokens()
+    final = sum(map(len, eng.holdings))
     if final != 1:
         return ValidationReport(
             False,

@@ -56,7 +56,7 @@ def parse_graph(text: str) -> Graph:
 
 
 def format_graph(g: Graph) -> str:
-    out = [f"{g.n} {len(g.edges)}"]
+    out = [f"{g.n} {g.m}"]
     out.extend(f"{u} {v}" for u, v in sorted(g.edges))
     return "\n".join(out) + "\n"
 

@@ -8,7 +8,7 @@ from .core import Graph
 
 
 def complete_graph(n: int) -> Graph:
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    return Graph(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
 
 
 def path_graph(n: int) -> Graph:

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from tokensched.core import (
@@ -17,7 +19,8 @@ from tokensched.core import (
     trivial_upper_bound,
     validate_schedule,
 )
-from tokensched.generators import complete_graph, path_graph, star_graph
+from tokensched.files import format_graph
+from tokensched.generators import complete_graph, grid_graph, path_graph, star_graph
 
 P11 = NetworkParams(1, 1)
 
@@ -38,6 +41,30 @@ def test_graph_metrics():
     assert complete_graph(4).is_complete()
     assert not g.is_complete()
     assert Graph(3, [(0, 1)]).is_connected() is False
+
+
+@pytest.mark.parametrize("g", [path_graph(5), grid_graph(3, 4), complete_graph(6)])
+def test_graph_ignores_edge_orientation_and_duplicates(g):
+    edges = sorted(g.edges)
+    for variant in (
+        [(v, u) for u, v in reversed(edges)],
+        edges + [(v, u) for u, v in edges] + edges,
+    ):
+        h = Graph(g.n, variant)
+        assert h == g and h.edges == g.edges and h.m == g.m == len(edges)
+        assert hash(h) == hash(g)
+        assert format_graph(h) == format_graph(g)
+
+
+def test_graph_eccentricities_computed_once(monkeypatch):
+    g = grid_graph(3, 4)
+    assert (g.radius(), g.diameter()) == (3, 5)
+
+    def no_bfs(source):
+        raise AssertionError("eccentricities were recomputed")
+
+    monkeypatch.setattr(g, "bfs_distances", no_bfs)
+    assert (g.radius(), g.diameter()) == (3, 5)
 
 
 def test_params_positive():
@@ -168,6 +195,21 @@ def test_leftover_tokens_rule_e():
     assert not report.valid
     assert report.violation[2] == "e"
     assert report.final_token_count == 2
+
+
+def test_cost_follows_actions_not_declared_length():
+    huge = 10**12
+    ok = Schedule(huge, (Action(1, 1, SEND, 0), Action(huge, 0, COMPUTE)))
+    short = Schedule(huge, (Action(1, 1, SEND, 0), Action(2, 0, COMPUTE)))  # node 2 left out
+    started = time.perf_counter()
+    assert validate_schedule(complete_graph(2), P11, ok).valid
+    assert validate_schedule(complete_graph(3), P11, short).violation == (
+        huge, -1, "e", f"2 tokens remain after round {huge}"
+    )
+    final, events = replay_events(complete_graph(2), P11, ok)
+    assert final.counts() == (1, 0)
+    assert [e[:2] for e in events] == [("deliver", 2), ("merge", huge + 1)]
+    assert time.perf_counter() - started < 1.0
 
 
 def test_malformed_actions_raise_not_report():

@@ -1,0 +1,137 @@
+"""Property checks on generated instances: the validator and the simulator
+agree, the final simulated state is the replay's final state, both match a
+plain round-by-round reference replay, and every output repeats exactly, on
+scheduler outputs and one-action mutations of them.
+"""
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from tokensched.approx import solve_tc
+from tokensched.brute import brute_opt
+from tokensched.complete import build_tree, opt_complete, prune_tree, r_star
+from tokensched.core import (
+    SEND,
+    Action,
+    Graph,
+    InvalidScheduleError,
+    NetworkParams,
+    Schedule,
+    TokenState,
+    replay_events,
+    simulate,
+    validate_schedule,
+)
+
+BRUTE_MAX_NODES = 4  # brute_opt takes seconds on some 5-node graphs
+
+
+@st.composite
+def instances(draw):
+    """(graph, params, schedule) from greedy, brute_opt or solve_tc on a small
+    connected graph: a random spanning tree plus random extra edges."""
+    source = draw(st.sampled_from(("greedy", "brute_opt", "solve_tc")))
+    n = draw(st.integers(1, BRUTE_MAX_NODES if source == "brute_opt" else 7))
+    p = NetworkParams(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    if source == "greedy" and n > 1:
+        # opt_complete sends only along its aggregation tree's edges.
+        spanning = prune_tree(build_tree(r_star(n, p), p), n).edges()
+    else:
+        spanning = [(v, draw(st.integers(0, v - 1))) for v in range(1, n)]
+    node = st.integers(0, n - 1)
+    extra = draw(st.lists(st.tuples(node, node), max_size=6))
+    g = Graph(n, list(spanning) + [(u, v) for u, v in extra if u != v])
+    if source == "greedy":
+        s = opt_complete(n, p)
+    elif source == "brute_opt":
+        s = brute_opt(g, p, force=True).schedule
+    else:
+        s = solve_tc(g, p, seed=draw(st.integers(0, 3)))
+    return g, p, s
+
+
+def mutations(s: Schedule):
+    """s itself, then each one-action drop and each one-round shift."""
+    yield s
+    acts = s.actions
+    for i, a in enumerate(acts):
+        rest = acts[:i] + acts[i + 1:]
+        yield Schedule(s.length, rest)
+        for d in (-1, 1):
+            moved = Action(a.start_round + d, a.node, a.kind, a.target, a.token)
+            yield Schedule(s.length, rest + (moved,))
+
+
+def reference_replay(g: Graph, p: NetworkParams, s: Schedule) -> tuple:
+    """(violation, final holdings, events) from a round-by-round replay with
+    frozenset tokens.  A violation is (round, node, rule) of the first broken
+    rule among (a)-(d); holdings and events are None after one."""
+    held = [[frozenset([v])] for v in range(g.n)]
+    busy = [0] * g.n
+    landing = {}  # round -> [(0 merge / 1 deliver, node, target, token, token)]
+    events = []
+    by_round = {}
+    for a in s.actions:
+        by_round.setdefault(a.start_round, []).append(a)
+    first = min(by_round, default=1)
+    if first < 1:
+        return (first, by_round[first][0].node, "d"), None, None
+    for r in range(1, max([s.length, *by_round]) + 2):
+        for kind, v, target, a, b in sorted(landing.pop(r, []), key=lambda e: e[:3]):
+            held[v].remove(a)
+            if kind == 0:
+                held[v].remove(b)
+                held[v].append(a | b)
+                events.append(("merge", r, v, a, b))
+            else:
+                held[target].append(a)
+                events.append(("deliver", r, v, target, a))
+        for act in by_round.get(r, []):
+            v, dur = act.node, p.duration(act.kind)
+            if r + dur - 1 > s.length:
+                return (r, v, "d"), None, None
+            if busy[v] >= r:
+                return (r, v, "c"), None, None
+            if act.kind == SEND:
+                named = [t for t in held[v] if act.token in (None, min(t))]
+                if not named:
+                    return (r, v, "a"), None, None
+                landing.setdefault(r + dur, []).append((1, v, act.target, named[0], None))
+            else:
+                if len(held[v]) < 2:
+                    return (r, v, "b"), None, None
+                landing.setdefault(r + dur, []).append((0, v, v, held[v][0], held[v][1]))
+            busy[v] = r + dur - 1
+    return None, TokenState(tuple(map(tuple, held))), events
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except InvalidScheduleError as e:
+        return ("raised", e.round, e.node, e.rule, e.message)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(instances())
+def test_validator_simulator_and_replay_agree(inst):
+    g, p, s = inst
+    assert validate_schedule(g, p, s).valid
+    for m in mutations(s):
+        report = validate_schedule(g, p, m)
+        trace = _outcome(lambda: simulate(g, p, m))
+        final = _outcome(lambda: replay_events(g, p, m))
+        violation, ref_state, ref_events = reference_replay(g, p, m)
+        if report.valid or report.violation[2] == "e":
+            assert violation is None
+            assert final == (ref_state, ref_events)
+            assert isinstance(trace, list) and len(trace) == m.length + 1
+            assert trace[-1] == final[0]
+            assert trace[-1].total_tokens() == report.final_token_count
+            assert report.valid == (report.final_token_count == 1)
+        else:
+            assert report.violation[:3] == violation
+            assert trace == final == ("raised", *report.violation)
+        assert validate_schedule(g, p, m) == report
+        assert _outcome(lambda: simulate(g, p, m)) == trace
+        assert _outcome(lambda: replay_events(g, p, m)) == final

@@ -34,9 +34,10 @@ def test_two_nodes_forced_length():
 
 
 def test_disconnected_rejected():
-    from tokensched.core import Graph
+    from tokensched.core import DisconnectedGraphError, Graph
 
-    with pytest.raises(ValueError):
+    assert issubclass(DisconnectedGraphError, ValueError)
+    with pytest.raises(DisconnectedGraphError):
         solve_tc(Graph(3, [(0, 1)]), P11, seed=0)
 
 
