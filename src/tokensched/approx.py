@@ -6,6 +6,7 @@ token holder), sample one random walk per holder from its flow, direct the
 sampled paths into source/sink pairs with distinct endpoints, and route the
 source tokens to the sinks where they are merged.  Routing delays merges when
 computation dominates (t_c > t_m) and merges eagerly en route otherwise.
+The last few holders are aggregated greedily on a shortest-path tree.
 
 All randomness flows from one 64-bit seed through named spawn keys, so runs
 are reproducible action-for-action.
@@ -22,6 +23,7 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
 
+from .complete import _tree_greedy
 from .core import (
     COMPUTE,
     SEND,
@@ -43,30 +45,11 @@ LP_TOLERANCE = 1e-6
 FLOW_EPS = 1e-9
 WALK_RETRIES = 100
 ROUTE_ATTEMPTS = 20
-FALLBACK_W = 12  # below this, pair holders directly instead of solving LPs
+FALLBACK_W = 12  # at or below this many holders, aggregate on a tree instead of solving LPs
 
 
 class IterationCapError(RuntimeError):
     """The main loop failed to converge within its iteration budget."""
-
-
-@dataclass(frozen=True)
-class TimeExpandedGraph:
-    """Layered copies of the base graph: `steps` + 1 vertex layers, with an
-    arc (u, r) -> (v, r+1) per direction of each base edge and each step
-    r in [0, steps).  Acyclic; 2 * |E| * steps arcs in total."""
-
-    base: Graph
-    steps: int
-
-    def arcs(self):
-        for r in range(self.steps):
-            for u, v in sorted(self.base.edges):
-                yield (r, u, v)
-                yield (r, v, u)
-
-    def arc_count(self) -> int:
-        return 2 * len(self.base.edges) * self.steps
 
 
 @dataclass
@@ -76,12 +59,15 @@ class FlowLP:
     graph: Graph
     W: tuple
     steps: int
-    arc_index: dict  # (w, step, u, v) -> column
-    n_cols: int  # flow columns; column n_cols is z
+    cols: list  # (w, step, u, v) per flow column; column n_cols is z
     a_eq: object
     b_eq: object
     a_ub: object
     b_ub: object
+
+    @property
+    def n_cols(self) -> int:
+        return len(self.cols)
 
 
 @dataclass
@@ -134,82 +120,67 @@ def build_flow_lp(g: Graph, W, L_hat: int) -> FlowLP:
     if L_hat < 1:
         raise ValueError(f"need at least one step, got {L_hat}")
     wset = set(W)
-    arc_index = {}
-    rows_eq = []  # (coeffs list of (col, val), rhs)
-    inflow_by_vertex = {v: [] for v in range(g.n)}
-
+    cols = []
     for w in W:
-        sinks = wset - {w}
-        dsink = _sink_distances(g, sinks, blocked=wset | {w})
+        dsink = _sink_distances(g, wset - {w}, blocked=wset | {w})
         # Forward reachability of still-moving flow; holders absorb, the
         # origin w is never re-entered.
+        first = len(cols)
         alive = {w}
-        out_cols = {}  # (step, u) -> cols leaving u at step
-        in_cols = {}  # (step, v) -> cols entering v at the END of step
         for r in range(L_hat):
             nxt = set()
             for u in sorted(alive):
                 for v in sorted(g.adj[u]):
                     if v == w:
                         continue
-                    if v in wset:
-                        pass  # absorbed on arrival
-                    elif dsink[v] < 0 or dsink[v] > L_hat - (r + 1):
-                        continue  # could never reach a sink in time
-                    col = len(arc_index)
-                    arc_index[(w, r, u, v)] = col
-                    out_cols.setdefault((r, u), []).append(col)
-                    in_cols.setdefault((r + 1, v), []).append(col)
-                    inflow_by_vertex[v].append(col)
                     if v not in wset:
+                        if dsink[v] < 0 or dsink[v] > L_hat - (r + 1):
+                            continue  # could never reach a sink in time
                         nxt.add(v)
+                    cols.append((w, r, u, v))
             alive = nxt
             if not alive:
                 break
-        src = out_cols.get((0, w), [])
-        if not src:
+        if len(cols) == first:
             raise ValueError(
                 f"holder {w} cannot reach another holder within {L_hat} steps"
             )
-        rows_eq.append(([(c, 1.0) for c in src], 1.0))
-        for r in range(1, L_hat):
-            for u in range(g.n):
-                if u in wset:
-                    continue
-                outs = out_cols.get((r, u), [])
-                ins = in_cols.get((r, u), [])
-                if not outs and not ins:
-                    continue
-                coeffs = [(c, 1.0) for c in ins] + [(c, -1.0) for c in outs]
-                rows_eq.append((coeffs, 0.0))
 
-    n_cols = len(arc_index)
-    z_col = n_cols
-    rows_ub = []
-    for v in range(g.n):
-        cols = inflow_by_vertex[v]
-        resident = 1.0 if v in wset else 0.0
-        if not cols and resident == 0.0:
-            continue
-        rows_ub.append(([(c, 1.0) for c in cols] + [(z_col, -1.0)], -resident))
-
-    def to_csr(rows, width):
-        data, ri, ci = [], [], []
-        rhs = []
-        for i, (coeffs, b) in enumerate(rows):
-            rhs.append(b)
-            for c, val in coeffs:
-                ri.append(i)
-                ci.append(c)
-                data.append(val)
-        return (
-            csr_matrix((data, (ri, ci)), shape=(len(rows), width)),
-            np.array(rhs),
-        )
-
-    a_eq, b_eq = to_csr(rows_eq, n_cols + 1)
-    a_ub, b_ub = to_csr(rows_ub, n_cols + 1)
-    return FlowLP(g, W, L_hat, arc_index, n_cols, a_eq, b_eq, a_ub, b_ub)
+    # Equality rows, keyed (w, step, vertex) and sorted, so each source row
+    # (w, 0, w) comes first: a column counts +1 in its source row or -1 in
+    # its tail's conservation row, and +1 in its head's next-step row unless
+    # the head is a holder.  A non-holder head is entered before step L_hat,
+    # since it still has a sink to reach.
+    n = len(cols)
+    arr = np.array(cols, dtype=np.int64).reshape(n, 4)
+    w, r, _, v = arr.T
+    idx = np.arange(n)
+    enters = ~np.isin(v, W)
+    keys = np.concatenate([arr[:, :3], np.stack([w, r + 1, v], axis=1)[enters]])
+    eq_keys, eq_row = np.unique(keys, axis=0, return_inverse=True)
+    a_eq = csr_matrix(
+        (
+            np.concatenate([np.where(r == 0, 1.0, -1.0), np.ones(int(enters.sum()))]),
+            (eq_row.reshape(-1), np.concatenate([idx, idx[enters]])),
+        ),
+        shape=(len(eq_keys), n + 1),
+    )
+    b_eq = (eq_keys[:, 1] == 0).astype(float)
+    # Capacity rows, one per vertex with inflow or a resident token: inflow
+    # plus resident token <= z.
+    verts = np.union1d(v, W)
+    a_ub = csr_matrix(
+        (
+            np.concatenate([np.ones(n), -np.ones(len(verts))]),
+            (
+                np.concatenate([np.searchsorted(verts, v), np.arange(len(verts))]),
+                np.concatenate([idx, np.full(len(verts), n)]),
+            ),
+        ),
+        shape=(len(verts), n + 1),
+    )
+    b_ub = -np.isin(verts, W).astype(float)
+    return FlowLP(g, W, L_hat, cols, a_eq, b_eq, a_ub, b_ub)
 
 
 def solve_flow_lp(lp: FlowLP) -> FlowSolution:
@@ -229,7 +200,7 @@ def solve_flow_lp(lp: FlowLP) -> FlowSolution:
         raise RuntimeError(f"flow LP did not solve: {res.message}")
     flows = {w: {} for w in lp.W}
     x = res.x
-    for (w, r, u, v), col in lp.arc_index.items():
+    for col, (w, r, u, v) in enumerate(lp.cols):
         val = float(x[col])
         if val > FLOW_EPS:
             flows[w][(r, u, v)] = val
@@ -280,8 +251,6 @@ def _walk(flow: FlowSolution, w: int, rng) -> tuple | None:
         if not out:
             return None
         total = sum(val for _, val in out)
-        if total < FLOW_EPS:
-            return None
         pick = rng.random() * total
         acc = 0.0
         v = out[-1][0]
@@ -290,8 +259,6 @@ def _walk(flow: FlowSolution, w: int, rng) -> tuple | None:
             if pick <= acc:
                 v = cand
                 break
-        if v == w:
-            return None  # never walk back into the origin
         path.append(v)
         if v in wset:
             return tuple(path)
@@ -571,50 +538,23 @@ def route_paths_c(g: Graph, p: NetworkParams, dp: DirectedPathSet,
 
 
 def _fallback_pairing(g: Graph, p: NetworkParams, state: TokenState) -> Schedule:
-    """Deterministic endgame: repeatedly match the closest pairs of holders,
-    walk one token of each pair to the other along a shortest path (pairs
-    routed one after another), and merge on arrival, down to a single token."""
-    dist = [g.bfs_distances(v) for v in range(g.n)]
-    piles = {v: [min(t) for t in state.tokens_at(v)] for v in range(g.n)}
-    actions = []
-    clock = 0  # last occupied round so far
-    holders = sorted(v for v in range(g.n) if piles[v])
-
-    def shortest_path(src, dst):
-        # Lowest-id tie-break, walking distance-descending toward dst.
-        path = [src]
-        cur = src
-        while cur != dst:
-            cur = min(u for u in g.adj[cur] if dist[dst][u] == dist[dst][cur] - 1)
-            path.append(cur)
-        return path
-
-    while len(holders) > 1:
-        pool = holders[:]
-        pairs = []
-        while len(pool) > 1:
-            best = min(
-                ((dist[u][v], u, v) for i, u in enumerate(pool) for v in pool[i + 1:]),
-            )
-            _, u, v = best
-            pairs.append((u, v))
-            pool.remove(u)
-            pool.remove(v)
-        for u, v in pairs:
-            tok = piles[u][0]
-            r = clock + 1
-            hops = shortest_path(u, v)
-            for a, b in zip(hops, hops[1:]):
-                actions.append(Action(r, a, SEND, b, tok))
-                r += p.t_m
-            actions.append(Action(r, v, COMPUTE))
-            clock = r + p.t_c - 1
-            piles[u].remove(tok)
-            piles[v].append(tok)
-            merged = min(piles[v])
-            piles[v] = [merged]
-        holders = sorted(v for v in range(g.n) if piles[v])
-    return Schedule(clock, tuple(actions))
+    """Deterministic endgame: greedy aggregation (complete.greedy_schedule's
+    rules) down to a single token, on the shortest-path tree spanning the
+    holders.  Its root has the smallest maximum hop distance to the holders,
+    lowest id on ties; each node's parent is its lowest-id neighbour one hop
+    closer to the root.  The declared length is the last occupied round."""
+    tokens = [len(state.tokens_at(v)) for v in range(g.n)]
+    holders = [v for v in range(g.n) if tokens[v]]
+    far = [max(col) for col in zip(*(g.bfs_distances(h) for h in holders))]
+    root = far.index(min(far))
+    dist = g.bfs_distances(root)
+    parent = [-1] * g.n
+    for v in holders:
+        while v != root and parent[v] < 0:
+            parent[v] = min(u for u in g.adj[v] if dist[u] == dist[v] - 1)
+            v = parent[v]
+    actions, last = _tree_greedy(parent, tokens, p, range(g.n))
+    return Schedule(last, actions)
 
 
 @dataclass(frozen=True)
@@ -634,9 +574,9 @@ def solve_tc(g: Graph, p: NetworkParams, seed: int, report: list | None = None) 
     """Full approximation loop: pair-and-merge a constant fraction of token
     holders per iteration until one token remains.
 
-    Deterministic for fixed (graph, params, seed).  Falls back to direct
-    pairing when fewer than FALLBACK_W + 1 holders remain or an iteration
-    yields no usable paths.  Raises DisconnectedGraphError on a disconnected
+    Deterministic for fixed (graph, params, seed).  Finishes with the
+    tree-greedy endgame (_fallback_pairing) once at most FALLBACK_W holders
+    remain or an iteration yields no usable paths.  Raises DisconnectedGraphError on a disconnected
     graph, and IterationCapError after 24 * ceil(log2 n) + 8 iterations
     (which indicates a bug, not bad luck).
     """

@@ -28,7 +28,7 @@ from .core import (
     validate_schedule,
 )
 from .domset import mds_apx, psi_transform
-from .files import format_graph, format_schedule, parse_graph, parse_schedule
+from .files import format_graph, format_schedule, read_graph, read_schedule
 from .generators import (
     complete_graph,
     cycle_graph,
@@ -49,16 +49,6 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _load_graph(path: str) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
-
-
-def _load_schedule(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_schedule(fh.read())
 
 
 def _params(args) -> NetworkParams:
@@ -121,7 +111,7 @@ def _cmd_stats(args) -> int:
 def _cmd_brute(args) -> int:
     started = time.perf_counter()
     p = _params(args)
-    g = _load_graph(args.graph)
+    g = read_graph(args.graph)
     res = brute_opt(g, p, limit=args.limit, force=args.force)
     print(f"opt_length {res.opt_length}")
     print(f"max_singleton_distance {res.max_singleton_distance}")
@@ -134,7 +124,7 @@ def _cmd_brute(args) -> int:
 def _cmd_approx(args) -> int:
     started = time.perf_counter()
     p = _params(args)
-    g = _load_graph(args.graph)
+    g = read_graph(args.graph)
     seed = args.seed if args.seed is not None else _default_seed()
     rows: list[IterationStats] = []
     sched = solve_tc(g, p, seed, report=rows)
@@ -158,8 +148,8 @@ def _cmd_approx(args) -> int:
 
 def _cmd_validate(args) -> int:
     p = _params(args)
-    g = _load_graph(args.graph)
-    s = _load_schedule(args.schedule)
+    g = read_graph(args.graph)
+    s = read_schedule(args.schedule)
     report = validate_schedule(g, p, s)
     if report.valid:
         print(f"valid length={s.length}")
@@ -171,8 +161,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_simulate(args) -> int:
     p = _params(args)
-    g = _load_graph(args.graph)
-    s = _load_schedule(args.schedule)
+    g = read_graph(args.graph)
+    s = read_schedule(args.schedule)
     trace = simulate(g, p, s)
     lines = []
     for r, state in enumerate(trace):
@@ -187,7 +177,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_gadget_psi(args) -> int:
-    g = _load_graph(args.graph)
+    g = read_graph(args.graph)
     gadget = psi_transform(g, args.tm)
     _emit(format_graph(gadget.graph), args.out)
     if not args.quiet:
@@ -200,7 +190,7 @@ def _cmd_gadget_psi(args) -> int:
 
 
 def _cmd_mds(args) -> int:
-    g = _load_graph(args.graph)
+    g = read_graph(args.graph)
     seed = args.seed if args.seed is not None else _default_seed()
     if args.scheduler == "brute":
         def scheduler(gg, pp):

@@ -194,29 +194,31 @@ class TreeEmbedding:
                 )
 
 
-def greedy_schedule(tree: AggTree, embedding: TreeEmbedding, p: NetworkParams) -> Schedule:
-    """Greedy aggregation on an embedded tree.
+def _tree_greedy(parent: list, tokens: list, p: NetworkParams, label) -> tuple:
+    """Greedy aggregation on a rooted tree: (actions, last occupied round).
 
-    Rules, applied whenever a node is free: with two or more tokens it merges;
-    a non-root with exactly one token that has heard from every child sends to
-    its parent (leaves therefore send in round 1).  The declared schedule
-    length is the tree's budget R; on a budget-R tree aggregation always
-    completes within R rounds.
+    parent[u] is u's parent, or -1 for the root and for nodes off the tree
+    (which must hold no tokens); tokens[u] is u's starting token count, 0 on
+    a relay; label[u] names u in the actions.  Rules, applied whenever a node
+    is free: with two or more tokens it merges; a non-root with exactly one
+    token that has heard from every child sends to its parent.
     """
-    if len(embedding.mapping) != tree.size:
-        raise ValueError("embedding size does not match tree size")
-    size = tree.size
-    parent = tree.parents()
-    want = [len(c) for c in tree.children]  # arrivals to hear before sending
-    tokens = [1] * size
+    size = len(parent)
+    want = [0] * size  # arrivals to hear before sending
+    for q in parent:
+        if q >= 0:
+            want[q] += 1
+    tokens = list(tokens)
     heard = [0] * size
-    sent = [False] * size
     busy_until = [0] * size
     actions = []
     # Event queue: (round, kind, node) with kind 0 = token arrival (counted
     # when popped, i.e. at delivery), kind 1 = wake-up.  A busy node re-queues
     # itself for its free round; processing is otherwise idempotent.
-    heap = [(1, 1, u) for u in range(size) if want[u] == 0 and u != tree.root]
+    heap = [
+        (1, 1, u) for u in range(size)
+        if (want[u] == 0 and parent[u] >= 0) or tokens[u] >= 2
+    ]
     heapq.heapify(heap)
     while heap:
         r, kind, u = heapq.heappop(heap)
@@ -227,23 +229,31 @@ def greedy_schedule(tree: AggTree, embedding: TreeEmbedding, p: NetworkParams) -
             heapq.heappush(heap, (busy_until[u] + 1, 1, u))
             continue
         if tokens[u] >= 2:
-            actions.append(Action(r, embedding[u], COMPUTE))
+            actions.append(Action(r, label[u], COMPUTE))
             busy_until[u] = r + p.t_c - 1
             tokens[u] -= 1  # merge lands at r + t_c; only u reads this, when free
             heapq.heappush(heap, (r + p.t_c, 1, u))
-        elif (
-            u != tree.root
-            and tokens[u] == 1
-            and heard[u] == want[u]
-            and not sent[u]
-        ):
-            actions.append(Action(r, embedding[u], SEND, embedding[parent[u]]))
+        elif parent[u] >= 0 and tokens[u] == 1 and heard[u] == want[u]:
+            # Sends at most once: every child has been heard, so u never
+            # holds a token again.
+            actions.append(Action(r, label[u], SEND, label[parent[u]]))
             busy_until[u] = r + p.t_m - 1
-            sent[u] = True
             tokens[u] = 0
             heapq.heappush(heap, (r + p.t_m, 0, parent[u]))
         # Otherwise nothing to do; a later arrival re-queues the node.
-    return Schedule(tree.R, tuple(actions))
+    return tuple(actions), max(busy_until, default=0)
+
+
+def greedy_schedule(tree: AggTree, embedding: TreeEmbedding, p: NetworkParams) -> Schedule:
+    """Greedy aggregation on an embedded tree, one token per node (leaves
+    therefore send in round 1).  The declared schedule length is the tree's
+    budget R; on a budget-R tree aggregation always completes within R
+    rounds.
+    """
+    if len(embedding.mapping) != tree.size:
+        raise ValueError("embedding size does not match tree size")
+    actions, _ = _tree_greedy(tree.parents(), [1] * tree.size, p, embedding.mapping)
+    return Schedule(tree.R, actions)
 
 
 def greedy_completion_round(R: int, p: NetworkParams) -> int:

@@ -11,11 +11,16 @@ Schedule file::
     r v COMPUTE
 
 Rounds are 1-indexed.  Unknown trailing fields are rejected.
+
+A graph header may declare at most MAX_NODES nodes; a larger `n` is rejected
+before any adjacency is allocated, so a tiny file cannot exhaust memory.
 """
 
 from __future__ import annotations
 
 from .core import COMPUTE, SEND, Action, Graph, MalformedInputError, Schedule
+
+MAX_NODES = 1_000_000
 
 
 def _data_lines(text: str):
@@ -38,6 +43,8 @@ def parse_graph(text: str) -> Graph:
         n, m = int(parts[0]), int(parts[1])
     except ValueError as exc:
         raise MalformedInputError(f"line {lineno}: non-integer header {header!r}") from exc
+    if n > MAX_NODES:
+        raise MalformedInputError(f"line {lineno}: {n} nodes exceeds the limit of {MAX_NODES}")
     if len(lines) - 1 != m:
         raise MalformedInputError(f"header declares {m} edges, file has {len(lines) - 1}")
     edges = []

@@ -171,8 +171,8 @@ def test_criterion_7_solver_validity_and_quality():
         ratios.append(s.length / clb)
         assert s.length <= 8 * tub, (i, n, p)
     med = statistics.median(ratios)
-    assert med <= 12, med
-    _ok(7, f"50/50 solver outputs valid; median length/lower-bound {med:.2f} <= 12")
+    assert med <= 3, med
+    _ok(7, f"50/50 solver outputs valid; median length/lower-bound {med:.2f} <= 3")
 
 
 def test_criterion_8_sampling_statistics():

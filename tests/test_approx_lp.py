@@ -2,7 +2,6 @@ import pytest
 
 from tokensched.core import NetworkParams
 from tokensched.approx import (
-    TimeExpandedGraph,
     build_flow_lp,
     choose_L,
     solve_flow_lp,
@@ -18,15 +17,6 @@ from tokensched.generators import (
 
 P11 = NetworkParams(1, 1)
 TOL = 1e-6
-
-
-def test_time_expanded_graph_arcs():
-    te = TimeExpandedGraph(path_graph(3), 4)
-    arcs = list(te.arcs())
-    assert len(arcs) == te.arc_count() == 2 * 2 * 4
-    assert all(0 <= r < 4 for r, _, _ in arcs)
-    # Arcs only step forward one layer: acyclic by construction.
-    assert (0, 0, 1) in arcs and (0, 1, 0) in arcs
 
 
 def test_lp_needs_two_holders():

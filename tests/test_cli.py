@@ -44,6 +44,10 @@ def test_validate_exit_codes(tmp_path):
                    "--tc", "1", "--tm", "1", "--quiet") == 2
     assert run_cli("validate", "--graph", str(graph), "--schedule", "missing.sched",
                    "--tc", "1", "--tm", "1", "--quiet") == 2
+    huge = tmp_path / "huge.txt"
+    huge.write_text("1000000000 0\n")  # rejected before any adjacency is built
+    assert run_cli("validate", "--graph", str(huge), "--schedule", str(bad),
+                   "--tc", "1", "--tm", "1", "--quiet") == 2
 
 
 def test_unknown_flags_exit_2(capsys):

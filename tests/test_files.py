@@ -2,6 +2,7 @@ import pytest
 
 from tokensched.core import Action, MalformedInputError, Schedule
 from tokensched.files import (
+    MAX_NODES,
     format_graph,
     format_schedule,
     parse_graph,
@@ -27,6 +28,13 @@ def test_graph_comments_and_errors():
         parse_graph("3 1\n0 3\n")
     with pytest.raises(MalformedInputError):
         parse_graph("")
+
+
+def test_graph_node_cap():
+    assert MAX_NODES >= 60000  # the benchmark's largest hosts
+    for n in (MAX_NODES + 1, 10**9, 10**30):
+        with pytest.raises(MalformedInputError, match="exceeds the limit"):
+            parse_graph(f"{n} 0\n")
 
 
 def test_schedule_round_trip():

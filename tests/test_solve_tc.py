@@ -3,11 +3,12 @@ import pytest
 from tokensched.core import (
     NetworkParams,
     Schedule,
+    TokenState,
     lower_bounds,
     trivial_upper_bound,
     validate_schedule,
 )
-from tokensched.approx import FALLBACK_W, solve_tc
+from tokensched.approx import FALLBACK_W, _fallback_pairing, solve_tc
 from tokensched.generators import (
     complete_graph,
     cycle_graph,
@@ -92,3 +93,31 @@ def test_length_respects_lower_bound():
     p = NetworkParams(2, 3)
     s = solve_tc(g, p, seed=11)
     assert s.length >= lower_bounds(g, p)[2]
+
+
+def test_endgame_meets_in_the_middle():
+    # Both end tokens walk to the centre of the path and merge once there.
+    g = path_graph(5)
+    state = TokenState(((frozenset([0]),), (), (), (), (frozenset([4]),)))
+    for tc, tm in [(1, 1), (2, 3), (3, 1)]:
+        p = NetworkParams(tc, tm)
+        s = _fallback_pairing(g, p, state)
+        assert s.length == 2 * tm + tc
+        assert validate_schedule(g, p, s, start=state).valid
+
+
+def test_endgame_from_relays_and_piles():
+    # Node 0 holds a 3-token pile and nodes 3 and 5 one token each; the
+    # tree is rooted at node 1, and node 5 reaches it through the empty
+    # relay node 2.
+    g = grid_graph(2, 3)
+    state = TokenState((
+        (frozenset([0]), frozenset([1]), frozenset([2])),
+        (), (), (frozenset([3]),), (), (frozenset([4, 5]),),
+    ))
+    for tc, tm in [(1, 1), (2, 1), (1, 3)]:
+        p = NetworkParams(tc, tm)
+        s = _fallback_pairing(g, p, state)
+        assert validate_schedule(g, p, s, start=state).valid
+        assert s.length == s.last_occupied_round(p)
+        assert any(a.node == 2 for a in s.actions)
