@@ -9,7 +9,12 @@ the winning schedule.
 States are canonicalized by sorting the records of interchangeable nodes
 (twin vertices: same neighborhood, so any permutation among them is a graph
 automorphism).  On a complete graph all nodes are twins and the reduction is
-maximal; on an asymmetric graph it degenerates to exact-state memoization.
+maximal; on an asymmetric graph it degenerates to exact states.
+
+`brute_opt` deepens the horizon from the lower bound with one search, whose
+table maps each canonical state to a proven minimum of the rounds it still
+needs.  A state refuted at one horizon is never re-proved at the next, and a
+state seen at an earlier round within one horizon is cut at the later ones.
 """
 
 from __future__ import annotations
@@ -72,23 +77,37 @@ def _twin_classes(g: Graph) -> list:
 
 
 class _Search:
-    """Depth-first search for a schedule finishing within a fixed horizon.
+    """Depth-first search for a schedule finishing within a horizon, with one
+    table of proven bounds shared by every horizon `run` is called with.
 
     Action sets per round are enumerated in lexicographic order of their
     sorted action lists (the empty set first), so the first schedule found is
     the lexicographically least one of its length.
+
+    Whether a state can still finish depends on the round only through its
+    slack, the rounds left counting the current one, and only monotonically:
+    the sole use of the slack is the filter `duration <= slack` on the
+    actions that may start, so a larger slack admits every schedule a smaller
+    one does.  `need` maps each canonical state to a proven lower bound on
+    the slack it needs: its `_lower_bound` when first seen, raised to
+    slack + 1 when its subtree fails.  A state whose `need` exceeds its slack
+    is pruned, so no failed subtree is explored twice at the same or a
+    smaller slack, within one horizon or across horizons.  Only failing
+    subtrees are cut, so the DFS order and the schedule found are those of a
+    search without the table.
     """
 
-    def __init__(self, g: Graph, p: NetworkParams, horizon: int):
+    def __init__(self, g: Graph, p: NetworkParams):
         self.g = g
         self.p = p
-        self.L = horizon
         self.adj_sorted = [sorted(g.adj[v]) for v in range(g.n)]
         self.dist = [g.bfs_distances(v) for v in range(g.n)]
         self.twins = _twin_classes(g)
-        self.visited = set()
+        self.need = {}  # canonical state -> proven minimum slack
+        self.gather = {}  # token locations -> hops to gather them at one node
+        self.recs = {}  # interned node records, shared by the table's keys
 
-    # A state at the start of round r is a tuple over nodes of
+    # A state at the start of a round is a tuple over nodes of
     # (token count, rounds still busy, sorted tuple of rounds-to-arrival of
     # incoming in-flight tokens).  A merge decrements its node's count when it
     # starts; the node is busy until the merge lands, so nothing reads the
@@ -103,27 +122,29 @@ class _Search:
                 canon[pos] = rec
         return tuple(canon)
 
-    def _lower_bound(self, state) -> int:
-        total = sum(rec[0] + len(rec[2]) for rec in state)
-        tail = max(rec[1] for rec in state)
-        if total == 1:
-            return tail
-        lb = self.p.t_c * ceil_log2(total)
-        locs = [v for v, rec in enumerate(state) if rec[0] > 0 or rec[2]]
-        gather = min(
-            max(self.dist[u][v0] for u in locs) for v0 in range(self.g.n)
+    def _lower_bound(self, state, total: int) -> int:
+        """Rounds a state holding `total` >= 2 tokens still needs, at least."""
+        locs = tuple(v for v, rec in enumerate(state) if rec[0] or rec[2])
+        gather = self.gather.get(locs)
+        if gather is None:
+            gather = self.gather[locs] = min(
+                max(self.dist[u][v0] for u in locs) for v0 in range(self.g.n)
+            )
+        return max(
+            self.p.t_c * ceil_log2(total),
+            gather * self.p.t_m + self.p.t_c,
+            max(rec[1] for rec in state),
         )
-        return max(lb, gather * self.p.t_m + self.p.t_c, tail)
 
-    def _candidates(self, r: int, state) -> list:
+    def _candidates(self, slack: int, state) -> list:
         cands = []
         t_c, t_m = self.p.t_c, self.p.t_m
         for v, (count, busy, _) in enumerate(state):
             if busy:
                 continue
-            if count >= 2 and r + t_c - 1 <= self.L:
+            if count >= 2 and t_c <= slack:
                 cands.append((COMPUTE, v, -1))
-            if count >= 1 and r + t_m - 1 <= self.L:
+            if count >= 1 and t_m <= slack:
                 cands.extend((SEND, v, u) for u in self.adj_sorted[v])
         return cands
 
@@ -142,51 +163,63 @@ class _Search:
                 ext.append((j + 1, used | {a[1]}, chosen + (a,)))
             stack.extend(reversed(ext))
 
-    def _advance(self, state, acts):
-        counts = [rec[0] for rec in state]
-        busy = [max(0, rec[1] - 1) for rec in state]
-        incoming = [[] for _ in state]
-        for v, rec in enumerate(state):
-            for a_in in rec[2]:
-                if a_in == 1:
-                    counts[v] += 1
-                else:
-                    incoming[v].append(a_in - 1)
-        t_c, t_m = self.p.t_c, self.p.t_m
-        for kind, v, u in acts:
-            counts[v] -= 1
-            if kind == COMPUTE:
-                busy[v] = t_c - 1
-            else:
-                busy[v] = t_m - 1
-                if t_m == 1:
-                    counts[u] += 1
-                else:
-                    incoming[u].append(t_m - 1)
-        return tuple(
-            (counts[v], busy[v], tuple(sorted(incoming[v])))
-            for v in range(self.g.n)
-        )
+    def _aged(self, state) -> list:
+        """The records one round later if no action starts: deliveries due
+        now land, and busy counters and arrival times tick down."""
+        out = []
+        for count, busy, incoming in state:
+            landed = incoming.count(1)
+            ticked = tuple(a - 1 for a in incoming[landed:])
+            out.append((count + landed, max(0, busy - 1), ticked))
+        return out
 
-    def _dfs(self, r: int, state):
-        total = sum(rec[0] + len(rec[2]) for rec in state)
+    def _advance(self, aged: list, acts):
+        """The next state after `acts` start, and how many of them are merges."""
+        t_c, t_m = self.p.t_c, self.p.t_m
+        nxt = list(aged)
+        merges = 0
+        for kind, v, u in acts:
+            count, _, incoming = nxt[v]
+            if kind == COMPUTE:
+                merges += 1
+                nxt[v] = (count - 1, t_c - 1, incoming)
+            else:
+                nxt[v] = (count - 1, t_m - 1, incoming)
+                count, busy, incoming = nxt[u]
+                if t_m == 1:
+                    nxt[u] = (count + 1, busy, incoming)
+                else:
+                    # Every other arrival time is below t_m - 1, so
+                    # appending keeps the tuple sorted.
+                    nxt[u] = (count, busy, incoming + (t_m - 1,))
+        return tuple(nxt), merges
+
+    def _dfs(self, slack: int, state, total: int):
         if total == 1:
             return []
-        if r - 1 + self._lower_bound(state) > self.L:
+        key = self._canon(state)
+        need = self.need.get(key)
+        if need is None:
+            # Interned records keep the table's keys small.
+            intern = self.recs.setdefault
+            key = tuple(intern(rec, rec) for rec in key)
+            need = self.need[key] = self._lower_bound(state, total)
+        if need > slack:
             return None
-        key = (r, self._canon(state))
-        if key in self.visited:
-            return None
-        self.visited.add(key)
-        for acts in self._action_sets(self._candidates(r, state)):
-            sub = self._dfs(r + 1, self._advance(state, acts))
+        aged = self._aged(state)
+        for acts in self._action_sets(self._candidates(slack, state)):
+            child, merges = self._advance(aged, acts)
+            sub = self._dfs(slack - 1, child, total - merges)
             if sub is not None:
                 return [acts] + sub
+        self.need[key] = slack + 1
         return None
 
-    def run(self):
+    def run(self, horizon: int):
+        """Actions of the lexicographically least schedule finishing within
+        `horizon` rounds, or None if there is none."""
         init = tuple((1, 0, ()) for _ in range(self.g.n))
-        per_round = self._dfs(1, init)
+        per_round = self._dfs(horizon, init, self.g.n)
         if per_round is None:
             return None
         actions = []
@@ -215,9 +248,9 @@ def brute_opt(g: Graph, p: NetworkParams, limit: int | None = None,
               force: bool = False) -> OracleResult:
     """Minimum-length valid schedule by exhaustive search.
 
-    Searches lengths from the combined lower bound upward; for each length,
-    all action subsets per round are explored with symmetry-reduced
-    memoization.  Among minimum-length schedules the lexicographically least
+    Searches lengths from the combined lower bound upward with one `_Search`,
+    whose table of proven bounds carries every refuted state from one length
+    to the next.  Among minimum-length schedules the lexicographically least
     action list is returned.  Refuses instances beyond a small envelope
     (n <= 5, costs <= 3, limit <= the trivial upper bound) unless `force`.
     """
@@ -244,9 +277,9 @@ def brute_opt(g: Graph, p: NetworkParams, limit: int | None = None,
                 f"limit {limit} exceeds the trivial upper bound {tub}; "
                 "pass force=True to override"
             )
-    start = lower_bounds(g, p)[2]
-    for L in range(start, limit + 1):
-        actions = _Search(g, p, L).run()
+    search = _Search(g, p)
+    for L in range(lower_bounds(g, p)[2], limit + 1):
+        actions = search.run(L)
         if actions is not None:
             sched = Schedule(L, actions)
             report = validate_schedule(g, p, sched)
@@ -266,7 +299,7 @@ def solvable_within(g: Graph, p: NetworkParams, rounds: int) -> bool:
         return False
     if lower_bounds(g, p)[2] > rounds:
         return False
-    return _Search(g, p, rounds).run() is not None
+    return _Search(g, p).run(rounds) is not None
 
 
 def n_star_table(R_max: int, p: NetworkParams, max_n: int = 6) -> list:
@@ -279,10 +312,13 @@ def n_star_table(R_max: int, p: NetworkParams, max_n: int = 6) -> list:
     from .complete import tree_size
     from .generators import complete_graph
 
+    # One search per candidate K_{n+1}, run at increasing R, so each keeps
+    # the states it has refuted.
+    searches = {k: _Search(complete_graph(k), p) for k in range(2, max_n + 1)}
     rows = []
     n = 1
     for R in range(R_max + 1):
-        while n + 1 <= max_n and solvable_within(complete_graph(n + 1), p, R):
+        while n + 1 <= max_n and searches[n + 1].run(R) is not None:
             n += 1
         if n + 1 > max_n:
             # Cannot refute n+1; the entry would be a guess, so stop here.

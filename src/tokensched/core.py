@@ -38,6 +38,9 @@ class InvalidScheduleError(ValueError):
         self.message = message
 
 
+_NO_NEIGHBORS = frozenset()
+
+
 class Graph:
     """Undirected simple graph on nodes 0..n-1, stored as adjacency sets only.
 
@@ -58,7 +61,9 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
         self.n = n
-        self.adj = tuple(map(frozenset, adj))
+        # Isolated nodes share one empty frozenset, so a bare header costs one
+        # set per node while parsing, not two.
+        self.adj = tuple(frozenset(a) if a else _NO_NEIGHBORS for a in adj)
         self.m = sum(map(len, self.adj)) // 2
 
     @cached_property

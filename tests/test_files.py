@@ -37,6 +37,17 @@ def test_graph_node_cap():
             parse_graph(f"{n} 0\n")
 
 
+def test_bare_header_shares_one_empty_adjacency():
+    # A header at the cap and no edges: every node's adjacency is the same
+    # empty frozenset, not a million separate ones.
+    g = parse_graph(f"{MAX_NODES} 0\n")
+    assert g.n == MAX_NODES and g.m == 0
+    assert len({id(a) for a in g.adj}) == 1 and not g.adj[0]
+    # Nodes with neighbours still get their own sets.
+    h = parse_graph("4 1\n0 1\n")
+    assert h.adj[0] == {1} and h.adj[1] == {0} and h.adj[2] is h.adj[3]
+
+
 def test_schedule_round_trip():
     s = Schedule(5, (
         Action(1, 2, "SEND", 0),

@@ -1,14 +1,17 @@
 """Property checks on generated instances: the validator and the simulator
 agree, the final simulated state is the replay's final state, both match a
 plain round-by-round reference replay, and every output repeats exactly, on
-scheduler outputs and one-action mutations of them.
+scheduler outputs and one-action mutations of them.  On graphs small enough
+for the oracle, the lower bound, the oracle and solve_tc come in that order,
+and the oracle's search finds the same at every horizon whether or not it
+carries its table over from the horizons before.
 """
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tokensched.approx import solve_tc
-from tokensched.brute import brute_opt
+from tokensched.brute import _Search, brute_opt
 from tokensched.complete import build_tree, opt_complete, prune_tree, r_star
 from tokensched.core import (
     SEND,
@@ -18,29 +21,41 @@ from tokensched.core import (
     NetworkParams,
     Schedule,
     TokenState,
+    lower_bounds,
     replay_events,
     simulate,
     validate_schedule,
 )
 
-BRUTE_MAX_NODES = 4  # brute_opt takes seconds on some 5-node graphs
+BRUTE_MAX_NODES = 5  # brute_opt takes up to seconds per call on 6-node graphs
+
+
+def connected_graph(draw, n: int, spanning=None) -> Graph:
+    """`spanning` (by default a random spanning tree on n nodes) plus random
+    extra edges."""
+    if spanning is None:
+        spanning = [(v, draw(st.integers(0, v - 1))) for v in range(1, n)]
+    node = st.integers(0, n - 1)
+    extra = draw(st.lists(st.tuples(node, node), max_size=6))
+    return Graph(n, list(spanning) + [(u, v) for u, v in extra if u != v])
+
+
+def costs(draw) -> NetworkParams:
+    return NetworkParams(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
 
 
 @st.composite
 def instances(draw):
     """(graph, params, schedule) from greedy, brute_opt or solve_tc on a small
-    connected graph: a random spanning tree plus random extra edges."""
+    connected graph."""
     source = draw(st.sampled_from(("greedy", "brute_opt", "solve_tc")))
     n = draw(st.integers(1, BRUTE_MAX_NODES if source == "brute_opt" else 7))
-    p = NetworkParams(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    p = costs(draw)
+    spanning = None
     if source == "greedy" and n > 1:
         # opt_complete sends only along its aggregation tree's edges.
         spanning = prune_tree(build_tree(r_star(n, p), p), n).edges()
-    else:
-        spanning = [(v, draw(st.integers(0, v - 1))) for v in range(1, n)]
-    node = st.integers(0, n - 1)
-    extra = draw(st.lists(st.tuples(node, node), max_size=6))
-    g = Graph(n, list(spanning) + [(u, v) for u, v in extra if u != v])
+    g = connected_graph(draw, n, spanning)
     if source == "greedy":
         s = opt_complete(n, p)
     elif source == "brute_opt":
@@ -135,3 +150,36 @@ def test_validator_simulator_and_replay_agree(inst):
         assert validate_schedule(g, p, m) == report
         assert _outcome(lambda: simulate(g, p, m)) == trace
         assert _outcome(lambda: replay_events(g, p, m)) == final
+
+
+@st.composite
+def oracle_instances(draw, max_n: int = BRUTE_MAX_NODES):
+    """(graph, params) on a connected graph with 2 <= n <= max_n."""
+    n = draw(st.integers(2, max_n))
+    return connected_graph(draw, n), costs(draw)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(oracle_instances(), st.integers(0, 3))
+def test_lower_bound_oracle_and_solve_tc_in_order(inst, seed):
+    g, p = inst
+    opt = brute_opt(g, p, force=True).opt_length
+    assert lower_bounds(g, p)[2] <= opt <= solve_tc(g, p, seed=seed).length
+
+
+# Fresh searches re-prove every horizon below OPT, up to seconds per example
+# at n = 5 and t_m = 3, so this runs fewer examples.
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(oracle_instances(max_n=5))
+def test_search_table_is_sound_across_horizons(inst):
+    """One search run at L = lb, lb + 1, ..., OPT finds what a fresh search
+    finds at each L: nothing below OPT, the same actions at OPT."""
+    g, p = inst
+    shared = _Search(g, p)
+    L = lower_bounds(g, p)[2]
+    while True:
+        fresh = _Search(g, p).run(L)
+        assert shared.run(L) == fresh
+        if fresh is not None:
+            break
+        L += 1
