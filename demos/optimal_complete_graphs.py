@@ -25,7 +25,7 @@ print("== The aggregation tree ==")
 print("Budget R -> largest tree finishable in R rounds (t_c=2, t_m=1):")
 print("  sizes:", [tree_size(R, p) for R in range(17)])
 tree = build_tree(8, p)
-print(f"  tree for R=8 has {tree.size} nodes; parent array: {tree.parents()}")
+print(f"  tree for R=8 has {tree.size} nodes; parent array: {tree.parent}")
 
 print()
 print("== Greedy aggregation finishes the budget-R tree within R rounds ==")

@@ -23,6 +23,7 @@ from .core import (
     InvalidScheduleError,
     MalformedInputError,
     NetworkParams,
+    ceil_log2,
     lower_bounds,
     simulate,
     validate_schedule,
@@ -63,18 +64,31 @@ def _params(args) -> NetworkParams:
     return p
 
 
-def _report(args, g: Graph, p: NetworkParams, length: int, seed, started: float) -> None:
+def _report(args, facts, p: NetworkParams, length: int, seed, started: float) -> None:
+    """Print the run line to stderr unless --quiet.  facts() returns
+    (n, m, diameter, radius, lower_bounds) and is called only to print."""
     if getattr(args, "quiet", False):
         return
-    lbs = lower_bounds(g, p)
+    n, m, diameter, radius, lbs = facts()
     ratio = length / lbs[2] if lbs[2] > 0 else float("nan")
     print(
-        f"# cmd={args.command} n={g.n} m={g.m} diameter={g.diameter()} "
-        f"radius={g.radius()} t_c={p.t_c} t_m={p.t_m} length={length} "
+        f"# cmd={args.command} n={n} m={m} diameter={diameter} "
+        f"radius={radius} t_c={p.t_c} t_m={p.t_m} length={length} "
         f"compute_lb={lbs[0]} radius_lb={lbs[1]} combined_lb={lbs[2]} "
         f"ratio={ratio:.3f} seed={seed} wall={time.perf_counter() - started:.3f}s",
         file=sys.stderr,
     )
+
+
+def _graph_facts(g: Graph, p: NetworkParams) -> tuple:
+    return g.n, g.m, g.diameter(), g.radius(), lower_bounds(g, p)
+
+
+def _complete_facts(n: int, p: NetworkParams) -> tuple:
+    """_graph_facts of K_n in closed form, without building K_n."""
+    radius = min(1, n - 1)
+    lbs = (p.t_c * ceil_log2(n), p.t_m * radius)
+    return n, n * (n - 1) // 2, radius, radius, (*lbs, max(lbs))
 
 
 def _cmd_complete(args) -> int:
@@ -82,7 +96,7 @@ def _cmd_complete(args) -> int:
     p = _params(args)
     sched = opt_complete(args.n, p)
     _emit(format_schedule(sched), args.out)
-    _report(args, complete_graph(args.n), p, sched.length, "-", started)
+    _report(args, lambda: _complete_facts(args.n, p), p, sched.length, "-", started)
     return 0
 
 
@@ -93,8 +107,7 @@ def _cmd_tree(args) -> int:
         print(f"error: tree for R={args.R} has {size} nodes; too large to emit", file=sys.stderr)
         return 2
     tree = build_tree(args.R, p)
-    parents = tree.parents()
-    _emit(" ".join(str(x) for x in parents) + "\n", args.out)
+    _emit(" ".join(str(x) for x in tree.parent) + "\n", args.out)
     return 0
 
 
@@ -117,7 +130,7 @@ def _cmd_brute(args) -> int:
     print(f"max_singleton_distance {res.max_singleton_distance}")
     if args.out:
         _emit(format_schedule(res.schedule), args.out)
-    _report(args, g, p, res.opt_length, "-", started)
+    _report(args, lambda: _graph_facts(g, p), p, res.opt_length, "-", started)
     return 0
 
 
@@ -142,7 +155,7 @@ def _cmd_approx(args) -> int:
             )
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
-    _report(args, g, p, sched.length, seed, started)
+    _report(args, lambda: _graph_facts(g, p), p, sched.length, seed, started)
     return 0
 
 

@@ -52,42 +52,22 @@ def _child_budgets(budget: int, p: NetworkParams) -> list:
 
 @dataclass(frozen=True)
 class AggTree:
-    """Rooted aggregation tree; node 0 is the root, ids are DFS order.
+    """Rooted aggregation tree grown for round budget R, as a parent array.
 
-    `budgets` records the round budget each node's subtree was grown for
-    (pruned trees keep the budgets of the surviving original nodes).
+    parent[0] == -1 marks the root (node 0); every other node's parent has a
+    smaller id, and each node's children have consecutive ids in join order.
     """
 
     R: int
-    params: NetworkParams
-    children: tuple  # node -> tuple of child ids, in join order
-    budgets: tuple
+    parent: tuple
 
     @property
     def size(self) -> int:
-        return len(self.children)
-
-    @property
-    def root(self) -> int:
-        return 0
-
-    def parents(self) -> list:
-        par = [-1] * self.size
-        for u, ch in enumerate(self.children):
-            for c in ch:
-                par[c] = u
-        return par
-
-    def depths(self) -> list:
-        par = self.parents()
-        dep = [0] * self.size
-        for u in range(1, self.size):  # DFS ids: parents precede children
-            dep[u] = dep[par[u]] + 1
-        return dep
+        return len(self.parent)
 
     def edges(self) -> list:
-        par = self.parents()
-        return [(par[u], u) for u in range(1, self.size)]
+        par = self.parent
+        return [(par[u], u) for u in range(1, len(par))]
 
 
 def build_tree(R: int, p: NetworkParams) -> AggTree:
@@ -98,23 +78,16 @@ def build_tree(R: int, p: NetworkParams) -> AggTree:
     """
     if R < 0:
         raise ValueError(f"round budget must be >= 0, got {R}")
-    children = [[]]
-    budgets = [R]
+    parent = [-1]
     stack = [(0, R)]
     while stack:
         node, budget = stack.pop()
         buds = _child_budgets(budget, p)
-        kids = []
-        for cb in buds:
-            cid = len(children)
-            children.append([])
-            budgets.append(cb)
-            kids.append(cid)
-        children[node] = kids
-        # Visit in reverse so descent follows child order; every id exceeds
-        # its parent's id.
+        kids = range(len(parent), len(parent) + len(buds))
+        parent.extend([node] * len(buds))
+        # Visit in reverse so descent follows child order.
         stack.extend(zip(reversed(kids), reversed(buds)))
-    return AggTree(R, p, tuple(tuple(c) for c in children), tuple(budgets))
+    return AggTree(R, tuple(parent))
 
 
 def r_star(n: int, p: NetworkParams) -> int:
@@ -137,35 +110,32 @@ def prune_tree(tree: AggTree, n: int) -> AggTree:
         raise ValueError(f"cannot prune {tree.size}-node tree to {n} nodes")
     if n == tree.size:
         return tree
-    depth = tree.depths()
-    nchild = [len(c) for c in tree.children]
-    parent = tree.parents()
-    alive = [True] * tree.size
-    heap = [(-depth[u], -u) for u in range(tree.size) if nchild[u] == 0]
+    parent = tree.parent
+    size = len(parent)
+    depth = [0] * size
+    nchild = [0] * size
+    for u in range(1, size):
+        depth[u] = depth[parent[u]] + 1
+        nchild[parent[u]] += 1
+    # Each node enters the heap once, as a leaf; the root never does, since
+    # it has children whenever size > n >= 1.
+    heap = [(-depth[u], -u) for u in range(size) if nchild[u] == 0]
     heapq.heapify(heap)
-    remaining = tree.size
-    while remaining > n:
-        d, negu = heapq.heappop(heap)
-        u = -negu
-        if not alive[u] or nchild[u] > 0:
-            continue
+    alive = [True] * size
+    for _ in range(size - n):
+        u = -heapq.heappop(heap)[1]
         alive[u] = False
-        remaining -= 1
         par = parent[u]
         nchild[par] -= 1
-        if nchild[par] == 0 and par != tree.root:
+        if nchild[par] == 0 and par != 0:
             heapq.heappush(heap, (-depth[par], -par))
-    relabel = {}
-    for u in range(tree.size):
+    label = [0] * size
+    kept = [-1]
+    for u in range(1, size):
         if alive[u]:
-            relabel[u] = len(relabel)
-    children = tuple(
-        tuple(relabel[c] for c in tree.children[u] if alive[c])
-        for u in range(tree.size)
-        if alive[u]
-    )
-    budgets = tuple(tree.budgets[u] for u in range(tree.size) if alive[u])
-    return AggTree(tree.R, tree.params, children, budgets)
+            label[u] = len(kept)
+            kept.append(label[parent[u]])
+    return AggTree(tree.R, tuple(kept))
 
 
 @dataclass(frozen=True)
@@ -252,7 +222,7 @@ def greedy_schedule(tree: AggTree, embedding: TreeEmbedding, p: NetworkParams) -
     """
     if len(embedding.mapping) != tree.size:
         raise ValueError("embedding size does not match tree size")
-    actions, _ = _tree_greedy(tree.parents(), [1] * tree.size, p, embedding.mapping)
+    actions, _ = _tree_greedy(tree.parent, [1] * tree.size, p, embedding.mapping)
     return Schedule(tree.R, actions)
 
 

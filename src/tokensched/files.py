@@ -135,16 +135,6 @@ def read_graph(path) -> Graph:
         return parse_graph(fh.read())
 
 
-def write_graph(path, g: Graph) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_graph(g))
-
-
 def read_schedule(path) -> Schedule:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_schedule(fh.read())
-
-
-def write_schedule(path, s: Schedule) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_schedule(s))

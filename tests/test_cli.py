@@ -3,10 +3,12 @@ import sys
 
 import pytest
 
+from tokensched import cli
 from tokensched.cli import cli_dispatch
-from tokensched.core import NetworkParams, validate_schedule
+from tokensched.core import NetworkParams, lower_bounds, validate_schedule
 from tokensched.complete import r_star
 from tokensched.files import parse_graph, parse_schedule, read_schedule
+from tokensched.generators import complete_graph
 
 
 def run_cli(*argv):
@@ -25,6 +27,49 @@ def test_complete_roundtrips_and_validates(tmp_path):
                    "--tc", "1", "--tm", "1", "--quiet") == 0
     # Round-trip: the written file parses back to the same schedule.
     assert parse_schedule(out.read_text()) == sched
+
+
+def report_fields(err: str) -> dict:
+    """key=value fields of the last run line on stderr, without wall=."""
+    line = [x for x in err.splitlines() if x.startswith("# cmd=")][-1]
+    fields = dict(f.split("=", 1) for f in line[2:].split())
+    assert fields.pop("wall").endswith("s")
+    return fields
+
+
+def test_complete_report_does_not_build_the_graph(tmp_path, monkeypatch, capsys):
+    def no_graph(n):
+        raise AssertionError(f"the run report built K_{n}")
+
+    monkeypatch.setattr(cli, "complete_graph", no_graph)
+    assert run_cli("complete", "--n", "2000", "--tc", "2", "--tm", "1",
+                   "--out", str(tmp_path / "k.sched")) == 0
+    length = r_star(2000, NetworkParams(2, 1))
+    assert report_fields(capsys.readouterr().err) == {
+        "cmd": "complete", "n": "2000", "m": "1999000", "diameter": "1",
+        "radius": "1", "t_c": "2", "t_m": "1", "length": str(length),
+        "compute_lb": "22", "radius_lb": "1", "combined_lb": "22",
+        "ratio": f"{length / 22:.3f}", "seed": "-",
+    }
+
+
+def test_complete_report_matches_the_graph(capsys):
+    for tc, tm in [(1, 1), (2, 1), (1, 2), (2, 3)]:
+        p = NetworkParams(tc, tm)
+        for n in range(1, 31):
+            assert run_cli("complete", "--n", str(n), "--tc", str(tc), "--tm", str(tm)) == 0
+            fields = report_fields(capsys.readouterr().err)
+            g = complete_graph(n)
+            lbs = lower_bounds(g, p)
+            length = r_star(n, p)
+            assert fields == {
+                "cmd": "complete", "n": str(n), "m": str(g.m),
+                "diameter": str(g.diameter()), "radius": str(g.radius()),
+                "t_c": str(tc), "t_m": str(tm), "length": str(length),
+                "compute_lb": str(lbs[0]), "radius_lb": str(lbs[1]),
+                "combined_lb": str(lbs[2]),
+                "ratio": f"{length / lbs[2]:.3f}" if lbs[2] else "nan", "seed": "-",
+            }
 
 
 def test_validate_exit_codes(tmp_path):

@@ -55,20 +55,26 @@ def test_build_tree_matches_sizes_and_structure():
         for R in range(0, 14):
             tree = build_tree(R, p)
             assert tree.size == tree_size(R, p)
-            parents = tree.parents()
-            assert parents[0] == -1
-            assert all(parents[u] < u for u in range(1, tree.size))
+            parent = tree.parent
+            assert parent[0] == -1
+            assert all(parent[u] < u for u in range(1, tree.size))
             if R >= tc + tm:
-                # Root decomposition per the recurrence: last child's subtree
-                # is the joined tree for R - t_c - t_m.
-                last = tree.children[0][-1]
-                sub = [last]
-                size = 0
-                while sub:
-                    u = sub.pop()
-                    size += 1
-                    sub.extend(tree.children[u])
-                assert size == tree_size(R - tc - tm, p)
+                # Root decomposition per the recurrence: the root's last
+                # child's subtree is the joined tree for R - t_c - t_m.
+                last = max(u for u in range(tree.size) if parent[u] == 0)
+                in_sub = [False] * tree.size
+                in_sub[last] = True
+                for u in range(last + 1, tree.size):
+                    in_sub[u] = in_sub[parent[u]]
+                assert sum(in_sub) == tree_size(R - tc - tm, p)
+
+
+def test_tree_ids_are_pinned():
+    # opt_complete's output depends on these ids: each expanded node's
+    # children form one block, in join order.
+    assert build_tree(6, P11).parent == (-1, 0, 0, 0, 0, 0, 3, 4, 4, 5, 5, 5, 11)
+    assert prune_tree(build_tree(6, P11), 9).parent == (-1, 0, 0, 0, 0, 0, 3, 4, 4)
+    assert build_tree(9, P21).parent == (-1, 0, 0, 0, 0, 3, 4, 4, 7)
 
 
 def test_r_star_examples():

@@ -4,15 +4,20 @@ plain round-by-round reference replay, and every output repeats exactly, on
 scheduler outputs and one-action mutations of them.  On graphs small enough
 for the oracle, the lower bound, the oracle and solve_tc come in that order,
 and the oracle's search finds the same at every horizon whether or not it
-carries its table over from the horizons before.
+carries its table over from the horizons before.  Distances and domination
+agree with networkx.
 """
 
+from itertools import combinations
+
+import networkx as nx
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tokensched.approx import solve_tc
 from tokensched.brute import _Search, brute_opt
 from tokensched.complete import build_tree, opt_complete, prune_tree, r_star
+from tokensched.domset import is_dominating_set, min_dominating_set
 from tokensched.core import (
     SEND,
     Action,
@@ -183,3 +188,27 @@ def test_search_table_is_sound_across_horizons(inst):
         if fresh is not None:
             break
         L += 1
+
+
+@st.composite
+def small_graphs(draw):
+    """A connected graph with 1 <= n <= 8."""
+    return connected_graph(draw, draw(st.integers(1, 8)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graphs(), st.data())
+def test_distances_and_domination_match_networkx(g, data):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    for v in range(g.n):
+        dist = nx.single_source_shortest_path_length(h, v)
+        assert g.bfs_distances(v) == [dist[u] for u in range(g.n)]
+    assert g.radius() == nx.radius(h)
+    assert g.diameter() == nx.diameter(h)
+    members = data.draw(st.sets(st.integers(0, g.n - 1)))
+    assert is_dominating_set(g, members) == nx.is_dominating_set(h, members)
+    ds = min_dominating_set(g)
+    assert nx.is_dominating_set(h, ds.members)
+    assert not any(nx.is_dominating_set(h, c) for c in combinations(range(g.n), len(ds) - 1))
