@@ -7,7 +7,6 @@ schedule-length curve data.
 
 from tokensched import (
     NetworkParams,
-    TreeEmbedding,
     baseline_lengths,
     brute_opt,
     build_tree,
@@ -29,7 +28,7 @@ print(f"  tree for R=8 has {tree.size} nodes; parent array: {tree.parent}")
 
 print()
 print("== Greedy aggregation finishes the budget-R tree within R rounds ==")
-sched = greedy_schedule(tree, TreeEmbedding.identity(tree.size), p)
+sched = greedy_schedule(tree, p)
 print(f"  schedule length {sched.length}, {len(sched.actions)} actions")
 for a in sched.actions[:6]:
     print("   ", a)

@@ -7,12 +7,12 @@ from .approx import solve_tc
 from .brute import OracleResult, brute_opt, extract_opt_paths, n_star_table
 from .complete import (
     AggTree,
-    TreeEmbedding,
     baseline_lengths,
     build_tree,
     greedy_schedule,
     opt_complete,
     r_star,
+    tree_schedule,
     tree_size,
 )
 from .core import (
@@ -48,7 +48,6 @@ __all__ = [
     "PsiGadget",
     "Schedule",
     "TokenState",
-    "TreeEmbedding",
     "ValidationReport",
     "baseline_lengths",
     "brute_opt",
@@ -65,6 +64,7 @@ __all__ = [
     "schedule_from_dominating_set",
     "simulate",
     "solve_tc",
+    "tree_schedule",
     "tree_size",
     "trivial_upper_bound",
     "validate_schedule",

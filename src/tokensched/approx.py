@@ -20,10 +20,8 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
 
-from .complete import _tree_greedy
+from .complete import tree_schedule
 from .core import (
     COMPUTE,
     SEND,
@@ -114,6 +112,10 @@ def build_flow_lp(g: Graph, W, L_hat: int) -> FlowLP:
     Flow that could neither be reached from a source nor still make it to a
     sink within the remaining steps is pruned away column-wise.
     """
+    # scipy is imported on first use: it is most of the package's import
+    # time, and commands that solve no LP never need it.
+    from scipy.sparse import csr_matrix
+
     W = tuple(sorted(set(W)))
     if len(W) < 2:
         raise ValueError("need at least two token holders to pair off")
@@ -185,6 +187,8 @@ def build_flow_lp(g: Graph, W, L_hat: int) -> FlowLP:
 
 def solve_flow_lp(lp: FlowLP) -> FlowSolution:
     """Solve the built LP to within LP_TOLERANCE; deterministic per instance."""
+    from scipy.optimize import linprog
+
     cost = np.zeros(lp.n_cols + 1)
     cost[lp.n_cols] = 1.0
     res = linprog(
@@ -538,8 +542,8 @@ def route_paths_c(g: Graph, p: NetworkParams, dp: DirectedPathSet,
 
 
 def _fallback_pairing(g: Graph, p: NetworkParams, state: TokenState) -> Schedule:
-    """Deterministic endgame: greedy aggregation (complete.greedy_schedule's
-    rules) down to a single token, on the shortest-path tree spanning the
+    """Deterministic endgame: greedy aggregation (complete.tree_schedule)
+    down to a single token, on the shortest-path tree spanning the
     holders.  Its root has the smallest maximum hop distance to the holders,
     lowest id on ties; each node's parent is its lowest-id neighbour one hop
     closer to the root.  The declared length is the last occupied round."""
@@ -553,7 +557,7 @@ def _fallback_pairing(g: Graph, p: NetworkParams, state: TokenState) -> Schedule
         while v != root and parent[v] < 0:
             parent[v] = min(u for u in g.adj[v] if dist[u] == dist[v] - 1)
             v = parent[v]
-    actions, last = _tree_greedy(parent, tokens, p, range(g.n))
+    actions, last = tree_schedule(parent, tokens, p)
     return Schedule(last, actions)
 
 
@@ -574,11 +578,12 @@ def solve_tc(g: Graph, p: NetworkParams, seed: int, report: list | None = None) 
     """Full approximation loop: pair-and-merge a constant fraction of token
     holders per iteration until one token remains.
 
-    Deterministic for fixed (graph, params, seed).  Finishes with the
-    tree-greedy endgame (_fallback_pairing) once at most FALLBACK_W holders
-    remain or an iteration yields no usable paths.  Raises DisconnectedGraphError on a disconnected
-    graph, and IterationCapError after 24 * ceil(log2 n) + 8 iterations
-    (which indicates a bug, not bad luck).
+    Deterministic for fixed (graph, params, seed).  Finishes with greedy
+    aggregation (complete.tree_schedule) on a shortest-path tree once at most
+    FALLBACK_W holders remain or an iteration yields no usable paths.  Raises
+    DisconnectedGraphError on a disconnected graph, and IterationCapError
+    after 24 * ceil(log2 n) + 8 iterations (which indicates a bug, not bad
+    luck).
     """
     if not g.is_connected():
         raise DisconnectedGraphError(

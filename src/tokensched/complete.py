@@ -6,37 +6,39 @@ R < t_c + t_m, otherwise the tree for R - t_c with the tree for R - t_c - t_m
 joined under its root as one extra (last) subtree.  The optimal schedule for
 K_n greedily aggregates on the smallest such tree with at least n nodes,
 pruned down to exactly n nodes.
+
+tree_schedule is the one greedy aggregation scheduler: it runs on any parent
+array over graph ids with any starting token counts, and approx's endgame
+uses it on a shortest-path tree of its graph.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import islice
 
-from .core import (
-    COMPUTE,
-    SEND,
-    Action,
-    Graph,
-    NetworkParams,
-    Schedule,
-)
+from .core import COMPUTE, SEND, Action, NetworkParams, Schedule
 
 
-@lru_cache(maxsize=None)
-def _size(R: int, t_c: int, t_m: int) -> int:
-    if R < t_c + t_m:
-        return 1
-    return _size(R - t_c, t_c, t_m) + _size(R - t_c - t_m, t_c, t_m)
+def _sizes(p: NetworkParams):
+    """Tree sizes for budgets 0, 1, 2, ...: one node below t_c + t_m, then
+    |T(R)| = |T(R - t_c)| + |T(R - t_c - t_m)|."""
+    w = p.t_c + p.t_m
+    last = deque([1] * w, maxlen=w)  # sizes for budgets R - w .. R - 1
+    yield from last
+    while True:
+        last.append(last[0] + last[-p.t_c])
+        yield last[-1]
 
 
 def tree_size(R: int, p: NetworkParams) -> int:
     """Node count of the aggregation tree for budget R, without building it."""
     if R < 0:
         raise ValueError(f"round budget must be >= 0, got {R}")
-    return _size(R, p.t_c, p.t_m)
+    return next(islice(_sizes(p), R, None))
 
 
 def _child_budgets(budget: int, p: NetworkParams) -> list:
@@ -94,10 +96,7 @@ def r_star(n: int, p: NetworkParams) -> int:
     """Smallest round budget whose aggregation tree has at least n nodes."""
     if n < 1:
         raise ValueError(f"node count must be >= 1, got {n}")
-    R = 0
-    while tree_size(R, p) < n:
-        R += 1
-    return R
+    return next(R for R, size in enumerate(_sizes(p)) if size >= n)
 
 
 def prune_tree(tree: AggTree, n: int) -> AggTree:
@@ -138,40 +137,18 @@ def prune_tree(tree: AggTree, n: int) -> AggTree:
     return AggTree(tree.R, tuple(kept))
 
 
-@dataclass(frozen=True)
-class TreeEmbedding:
-    """Injective map from tree node ids to graph node ids."""
-
-    mapping: tuple
-
-    def __post_init__(self):
-        if len(set(self.mapping)) != len(self.mapping):
-            raise ValueError("embedding must be injective")
-
-    def __getitem__(self, tree_node: int) -> int:
-        return self.mapping[tree_node]
-
-    @staticmethod
-    def identity(size: int) -> "TreeEmbedding":
-        return TreeEmbedding(tuple(range(size)))
-
-    def check_edges(self, tree: AggTree, g: Graph) -> None:
-        for u, v in tree.edges():
-            if not g.has_edge(self.mapping[u], self.mapping[v]):
-                raise ValueError(
-                    f"tree edge ({u}, {v}) maps to non-edge "
-                    f"({self.mapping[u]}, {self.mapping[v]})"
-                )
-
-
-def _tree_greedy(parent: list, tokens: list, p: NetworkParams, label) -> tuple:
+def tree_schedule(parent: list, tokens: list, p: NetworkParams) -> tuple:
     """Greedy aggregation on a rooted tree: (actions, last occupied round).
 
-    parent[u] is u's parent, or -1 for the root and for nodes off the tree
-    (which must hold no tokens); tokens[u] is u's starting token count, 0 on
-    a relay; label[u] names u in the actions.  Rules, applied whenever a node
-    is free: with two or more tokens it merges; a non-root with exactly one
-    token that has heard from every child sends to its parent.
+    parent[u] is u's parent, or -1 for the root and for nodes off the tree;
+    tokens[u] is u's starting token count, 0 on a relay.  Actions name each
+    node by its index u.  Rules, applied whenever a node is free: with two or
+    more tokens it merges; a non-root with exactly one token that has heard
+    from every child sends to its parent.
+
+    Precondition, not checked: every leaf holds at least one token and no
+    node off the tree holds any.  Otherwise the loop stops early with tokens
+    left over.
     """
     size = len(parent)
     want = [0] * size  # arrivals to hear before sending
@@ -199,14 +176,14 @@ def _tree_greedy(parent: list, tokens: list, p: NetworkParams, label) -> tuple:
             heapq.heappush(heap, (busy_until[u] + 1, 1, u))
             continue
         if tokens[u] >= 2:
-            actions.append(Action(r, label[u], COMPUTE))
+            actions.append(Action(r, u, COMPUTE))
             busy_until[u] = r + p.t_c - 1
             tokens[u] -= 1  # merge lands at r + t_c; only u reads this, when free
             heapq.heappush(heap, (r + p.t_c, 1, u))
         elif parent[u] >= 0 and tokens[u] == 1 and heard[u] == want[u]:
             # Sends at most once: every child has been heard, so u never
             # holds a token again.
-            actions.append(Action(r, label[u], SEND, label[parent[u]]))
+            actions.append(Action(r, u, SEND, parent[u]))
             busy_until[u] = r + p.t_m - 1
             tokens[u] = 0
             heapq.heappush(heap, (r + p.t_m, 0, parent[u]))
@@ -214,16 +191,12 @@ def _tree_greedy(parent: list, tokens: list, p: NetworkParams, label) -> tuple:
     return tuple(actions), max(busy_until, default=0)
 
 
-def greedy_schedule(tree: AggTree, embedding: TreeEmbedding, p: NetworkParams) -> Schedule:
-    """Greedy aggregation on an embedded tree, one token per node (leaves
-    therefore send in round 1).  The declared schedule length is the tree's
-    budget R; on a budget-R tree aggregation always completes within R
-    rounds.
+def greedy_schedule(tree: AggTree, p: NetworkParams) -> Schedule:
+    """Greedy aggregation on the tree, one token per node (leaves therefore
+    send in round 1).  The declared schedule length is the tree's budget R;
+    on a budget-R tree aggregation always completes within R rounds.
     """
-    if len(embedding.mapping) != tree.size:
-        raise ValueError("embedding size does not match tree size")
-    actions, _ = _tree_greedy(tree.parent, [1] * tree.size, p, embedding.mapping)
-    return Schedule(tree.R, actions)
+    return Schedule(tree.R, tree_schedule(tree.parent, [1] * tree.size, p)[0])
 
 
 def greedy_completion_round(R: int, p: NetworkParams) -> int:
@@ -235,31 +208,24 @@ def greedy_completion_round(R: int, p: NetworkParams) -> int:
     children's arrivals.  Serves as an independent check on greedy_schedule.
     """
 
-    @lru_cache(maxsize=None)
-    def comp(budget: int) -> int:
-        buds = _child_budgets(budget, p)
-        if not buds:
-            return 0
-        arrivals = sorted(comp(b) + p.t_m + 1 for b in buds)
+    comp = []  # comp[b]: completion round on the budget-b tree
+    for budget in range(R + 1):
         finish = 0  # free from round finish + 1
-        for a in arrivals:
-            start = max(a, finish + 1)
-            finish = start + p.t_c - 1
-        return finish
-
-    return comp(R)
+        for a in sorted(comp[b] + p.t_m + 1 for b in _child_budgets(budget, p)):
+            finish = max(a, finish + 1) + p.t_c - 1
+        comp.append(finish)
+    return comp[R]
 
 
 def opt_complete(n: int, p: NetworkParams) -> Schedule:
     """Optimal aggregation schedule on the complete graph K_n.
 
-    Builds the tree for budget r_star(n), prunes it to exactly n nodes, embeds
-    it into K_n by identity, and greedily aggregates.  The schedule only sends
-    along the tree's edges and has length r_star(n, p).
+    Builds the tree for budget r_star(n), prunes it to exactly n nodes, and
+    greedily aggregates on it; tree node u is vertex u of K_n.  The schedule
+    only sends along the tree's edges and has length r_star(n, p).
     """
     R = r_star(n, p)
-    tree = prune_tree(build_tree(R, p), n)
-    return greedy_schedule(tree, TreeEmbedding.identity(n), p)
+    return greedy_schedule(prune_tree(build_tree(R, p), n), p)
 
 
 def baseline_lengths(n: int, p: NetworkParams) -> tuple:

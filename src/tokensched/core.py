@@ -80,9 +80,6 @@ class Graph:
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
 
-    def neighbors(self, v: int) -> frozenset:
-        return self.adj[v]
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
 

@@ -30,7 +30,6 @@ from tokensched.approx import (
 from tokensched.brute import brute_opt, extract_opt_paths, n_star_table
 from tokensched.cli import cli_dispatch
 from tokensched.complete import (
-    TreeEmbedding,
     build_tree,
     greedy_completion_round,
     greedy_schedule,
@@ -81,7 +80,7 @@ def test_criterion_1_greedy_length_exactness():
                 assert comp == R, (tc, tm, R, comp)
             if tree_size(R, p) <= SIM_NODE_CAP:
                 tree = build_tree(R, p)
-                s = greedy_schedule(tree, TreeEmbedding.identity(tree.size), p)
+                s = greedy_schedule(tree, p)
                 assert s.length == R
                 assert s.last_occupied_round(p) == comp
                 host = Graph(tree.size, tree.edges()) if tree.size > 1 else Graph(1, [])

@@ -117,6 +117,12 @@ def test_tree_parent_array(capsys):
     assert all(0 <= parents[i] < i for i in range(1, 8))
 
 
+def test_tree_too_large_exits_2(capsys):
+    # The size check runs before anything is built, at any budget.
+    assert run_cli("tree", "--R", "5000", "--tc", "1", "--tm", "1") == 2
+    assert "too large to emit" in capsys.readouterr().err
+
+
 def test_brute_cli(tmp_path, capsys):
     graph = tmp_path / "p3.txt"
     run_cli("gen", "--kind", "path", "--n", "3", "--out", str(graph))

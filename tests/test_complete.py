@@ -1,9 +1,6 @@
-import pytest
-
 from tokensched.core import SEND, Graph, NetworkParams, validate_schedule
 from tokensched.brute import brute_opt
 from tokensched.complete import (
-    TreeEmbedding,
     baseline_lengths,
     build_tree,
     greedy_completion_round,
@@ -47,6 +44,8 @@ def test_size_recurrence_grid_to_200():
         got = [tree_size(r, p) for r in range(201)]
         assert got == ref
         assert all(a <= b for a, b in zip(got, got[1:]))  # nondecreasing
+        # A large budget needs no smaller one computed first.
+        assert tree_size(5000, p) == unrolled_sizes(p, 5000)[-1]
 
 
 def test_build_tree_matches_sizes_and_structure():
@@ -90,7 +89,7 @@ def test_two_node_tree_schedule():
         R = tc + tm
         tree = build_tree(R, p)
         assert tree.size == 2
-        s = greedy_schedule(tree, TreeEmbedding.identity(2), p)
+        s = greedy_schedule(tree, p)
         assert s.length == R
         acts = s.actions
         assert acts[0].kind == SEND and acts[0].start_round == 1
@@ -100,7 +99,7 @@ def test_two_node_tree_schedule():
 
 def test_three_leaf_tree_schedule():
     tree = build_tree(3, P11)
-    s = greedy_schedule(tree, TreeEmbedding.identity(3), P11)
+    s = greedy_schedule(tree, P11)
     rounds = sorted((a.start_round, a.kind) for a in s.actions)
     assert rounds == [(1, SEND), (1, SEND), (2, "COMPUTE"), (3, "COMPUTE")]
     assert s.length == 3
@@ -115,7 +114,7 @@ def test_greedy_sweep_moderate():
         p = NetworkParams(tc, tm)
         for R in range(0, 15):
             tree = build_tree(R, p)
-            s = greedy_schedule(tree, TreeEmbedding.identity(tree.size), p)
+            s = greedy_schedule(tree, p)
             assert s.length == R
             comp = greedy_completion_round(R, p)
             assert s.last_occupied_round(p) == comp
@@ -124,16 +123,6 @@ def test_greedy_sweep_moderate():
                 assert comp == R
             host = Graph(tree.size, tree.edges()) if tree.size > 1 else Graph(1, [])
             assert validate_schedule(host, p, s).valid
-
-
-def test_embedding_checks():
-    with pytest.raises(ValueError):
-        TreeEmbedding((0, 0, 1))
-    tree = build_tree(3, P11)
-    emb = TreeEmbedding((0, 1, 2))
-    emb.check_edges(tree, complete_graph(3))
-    with pytest.raises(ValueError):
-        emb.check_edges(tree, Graph(3, [(0, 1)]))
 
 
 def test_prune_tree_counts_and_budget():

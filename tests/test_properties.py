@@ -4,8 +4,9 @@ plain round-by-round reference replay, and every output repeats exactly, on
 scheduler outputs and one-action mutations of them.  On graphs small enough
 for the oracle, the lower bound, the oracle and solve_tc come in that order,
 and the oracle's search finds the same at every horizon whether or not it
-carries its table over from the horizons before.  Distances and domination
-agree with networkx.
+carries its table over from the horizons before.  Greedy aggregation on a
+labelled tree from any valid starting holdings ends with one token at the
+root.  Distances and domination agree with networkx.
 """
 
 from itertools import combinations
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from tokensched.approx import solve_tc
 from tokensched.brute import _Search, brute_opt
-from tokensched.complete import build_tree, opt_complete, prune_tree, r_star
+from tokensched.complete import build_tree, opt_complete, prune_tree, r_star, tree_schedule
 from tokensched.domset import is_dominating_set, min_dominating_set
 from tokensched.core import (
     SEND,
@@ -155,6 +156,39 @@ def test_validator_simulator_and_replay_agree(inst):
         assert validate_schedule(g, p, m) == report
         assert _outcome(lambda: simulate(g, p, m)) == trace
         assert _outcome(lambda: replay_events(g, p, m)) == final
+
+
+@st.composite
+def labelled_trees(draw):
+    """(n, parent, tokens, root): a tree on a random subset of n <= 12 graph
+    ids, in an order that need not put parents before children, with piles,
+    empty relays and at least one token on every leaf; ids off the tree have
+    parent -1 and no tokens."""
+    n = draw(st.integers(1, 12))
+    order = draw(st.permutations(range(n)))[:draw(st.integers(1, n))]
+    parent = [-1] * n
+    for i in range(1, len(order)):
+        parent[order[i]] = order[draw(st.integers(0, i - 1))]
+    tokens = [0] * n
+    for v in order:
+        tokens[v] = draw(st.integers(0 if v in parent else 1, 3))
+    return n, parent, tokens, order[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(labelled_trees(), st.integers(1, 3), st.integers(1, 3))
+def test_tree_schedule_aggregates_at_the_root(tree, tc, tm):
+    n, parent, tokens, root = tree
+    p = NetworkParams(tc, tm)
+    actions, last = tree_schedule(parent, tokens, p)
+    s = Schedule(last, actions)
+    g = Graph(n, [(v, q) for v, q in enumerate(parent) if q >= 0])
+    ids = iter(range(sum(tokens)))
+    start = TokenState(tuple(tuple(frozenset([next(ids)]) for _ in range(k)) for k in tokens))
+    assert validate_schedule(g, p, s, start=start).valid
+    assert last == s.last_occupied_round(p)
+    final = replay_events(g, p, s, start=start)[0]
+    assert len(final.tokens_at(root)) == 1
 
 
 @st.composite
