@@ -6,6 +6,8 @@ token holder), sample one random walk per holder from its flow, direct the
 sampled paths into source/sink pairs with distinct endpoints, and route the
 source tokens to the sinks where they are merged.  Routing delays merges when
 computation dominates (t_c > t_m) and merges eagerly en route otherwise.
+Both routers run in lock step, one send per node per step of t_m rounds;
+merge-on-collision stops forwarding at the first step where nothing moves.
 The last few holders are aggregated greedily on a shortest-path tree.
 
 All randomness flows from one 64-bit seed through named spawn keys, so runs
@@ -278,7 +280,8 @@ def sample_paths(flow: FlowSolution, L_hat: int, W, seed: int) -> tuple:
     holder is dropped from the sample), excises loops, and in each sample
     keeps only paths through no vertex hit by more than
     10 * z * log2(max(L_hat, 2)) sampled paths.  Returns the kept paths of
-    the sample keeping the most.
+    the first sample keeping the most, and stops early once a sample keeps a
+    path for every holder.
     """
     W = tuple(sorted(set(W)))
     n = flow.graph.n
@@ -302,6 +305,8 @@ def sample_paths(flow: FlowSolution, L_hat: int, W, seed: int) -> tuple:
         )
         if len(kept) > len(best_kept):
             best_kept = kept
+            if len(best_kept) == len(W):
+                break  # no later sample can keep more
     return best_kept
 
 
@@ -391,11 +396,13 @@ def opt_route(g: Graph, p: NetworkParams, dp: DirectedPathSet, seed: int,
               token_ids: dict | None = None) -> Schedule:
     """Send every source token to its sink along its path (SENDs only).
 
-    Packets take independent uniform random starting delays in [0, con) hop
-    slots and then pipeline, queueing first-come-first-served wherever a node
-    is already sending (one send per node at a time; receiving is free).  If
-    the makespan exceeds 8 * (con + dil) * ceil(log2(n + 2)) hop slots the
-    delays are redrawn, up to ROUTE_ATTEMPTS times, keeping the best run.
+    Routing runs in lock step: step k starts at round 1 + k * t_m, and a
+    send takes the whole step.  Packets take independent uniform random
+    starting delays in [0, con) steps and then pipeline; at each step every
+    node with a ready packet sends the one that became ready first (ties to
+    the earlier queued), and receiving is free.  If the makespan exceeds
+    8 * (con + dil) * ceil(log2(n + 2)) steps the delays are redrawn, up to
+    ROUTE_ATTEMPTS times, keeping the best run.
     """
     dp.check_endpoints()
     if token_ids is None:
@@ -410,7 +417,7 @@ def opt_route(g: Graph, p: NetworkParams, dp: DirectedPathSet, seed: int,
         delays = {
             path: int(rng.integers(0, max(con, 1))) for path in dp.paths
         }
-        actions, makespan = _route_once(g, p, dp, delays, token_ids)
+        actions, makespan = _route_once(p, dp, delays, token_ids)
         if best is None or makespan < best[0]:
             best = (makespan, actions)
         if best[0] <= cutoff:
@@ -419,46 +426,30 @@ def opt_route(g: Graph, p: NetworkParams, dp: DirectedPathSet, seed: int,
     return Schedule(makespan, actions)
 
 
-def _route_once(g, p, dp, delays, token_ids):
-    queues = {v: [] for v in range(g.n)}  # heap of (ready, seq, packet idx)
-    pos = {}
-    packets = list(dp.paths)
-    seq = 0
-    busy_until = [0] * g.n
-    dispatch = []  # heap of (round, node)
-    for idx, path in enumerate(packets):
-        ready = 1 + delays[path] * p.t_m
-        heappush(queues[path[0]], (ready, seq, idx))
-        seq += 1
-        heappush(dispatch, (ready, path[0]))
+def _route_once(p, dp, delays, token_ids):
+    """One lock-step run; returns the actions and the last occupied round."""
+    queues = {}  # node -> heap of (ready step, seq, path, position on it)
+    for seq, path in enumerate(dp.paths):
+        heappush(queues.setdefault(path[0], []), (delays[path], seq, path, 0))
+    seq = len(dp.paths)
     actions = []
-    makespan = 0
-    while dispatch:
-        r, u = heappop(dispatch)
-        if not queues[u]:
-            continue
-        if busy_until[u] >= r:
-            heappush(dispatch, (busy_until[u] + 1, u))
-            continue
-        ready, _, idx = queues[u][0]
-        if ready > r:
-            heappush(dispatch, (ready, u))
-            continue
-        heappop(queues[u])
-        path = packets[idx]
-        at = pos.get(idx, 0)
-        nxt = path[at + 1]
-        actions.append(Action(r, u, SEND, nxt, token_ids[path[0]]))
-        busy_until[u] = r + p.t_m - 1
-        makespan = max(makespan, busy_until[u])
-        pos[idx] = at + 1
-        if at + 1 < len(path) - 1:
-            heappush(queues[nxt], (r + p.t_m, seq, idx))
-            seq += 1
-            heappush(dispatch, (r + p.t_m, nxt))
-        if queues[u]:
-            heappush(dispatch, (busy_until[u] + 1, u))
-    return tuple(actions), makespan
+    step = 0
+    while queues:
+        r = 1 + step * p.t_m
+        for u in sorted(queues):
+            queue = queues[u]
+            if queue[0][0] > step:
+                continue
+            _, _, path, at = heappop(queue)
+            if not queue:
+                del queues[u]
+            nxt = path[at + 1]
+            actions.append(Action(r, u, SEND, nxt, token_ids[path[0]]))
+            if at + 2 < len(path):
+                heappush(queues.setdefault(nxt, []), (step + 1, seq, path, at + 1))
+                seq += 1
+        step += 1
+    return tuple(actions), step * p.t_m
 
 
 def route_paths_m(g: Graph, p: NetworkParams, dp: DirectedPathSet, seed: int,
@@ -479,11 +470,14 @@ def route_paths_c(g: Graph, p: NetworkParams, dp: DirectedPathSet,
                   holdings: TokenState | None = None) -> Schedule:
     """Forward tokens with merge-on-collision, for t_c <= t_m.
 
-    Sinks start asleep; for 2 * dil * t_m rounds every awake node holding
-    exactly one token that still has path to walk forwards it, and any node
-    that accumulates two or more tokens goes to sleep and keeps what arrives.
-    Afterwards every node merges its pile down to one token (at most
-    con * t_c extra rounds).  At least half the source tokens get merged.
+    Forwarding runs in lock step: step k starts at round 1 + k * t_m.  At
+    each step every node other than a sink that holds exactly one token,
+    a routed one with path still to walk, forwards it; everything sent lands
+    before the next step.  A node that holds two or more tokens keeps them
+    and keeps what arrives.  Forwarding ends at the first step where nothing
+    moves (at most dil steps), and in the next round every node starts
+    merging its pile down to one token (at most con * t_c more rounds).
+    At least half the source tokens get merged.
     """
     dp.check_endpoints()
     if holdings is None:
@@ -492,53 +486,37 @@ def route_paths_c(g: Graph, p: NetworkParams, dp: DirectedPathSet,
             tuple((frozenset([v]),) if v in holders else () for v in range(g.n))
         )
     piles = {v: [min(t) for t in holdings.tokens_at(v)] for v in range(g.n)}
-    route_of = {}  # token id -> (path, pos)
+    moving = {}  # node -> (token id, path, position) it forwards this step
     for path in dp.paths:
         src = path[0]
         if len(piles[src]) != 1:
             raise ValueError(f"source {src} must hold exactly one token")
-        route_of[piles[src][0]] = (path, 0)
-    asleep = {s for s in dp.sinks}
-    busy_until = [0] * g.n
-    inflight = {}  # arrival round -> list of (target, token id)
-    phase1_end = 2 * dp.dil * p.t_m
+        moving[src] = (piles[src].pop(), path, 0)
+    sinks = set(dp.sinks)
     actions = []
-    for r in range(1, phase1_end + 1):
-        for target, tok in inflight.pop(r, ()):
-            piles[target].append(tok)
-        for v in range(g.n):
-            if v in asleep or busy_until[v] >= r:
-                continue
-            if len(piles[v]) >= 2:
-                asleep.add(v)
-                continue
-            if len(piles[v]) != 1:
-                continue
-            tok = piles[v][0]
-            if tok not in route_of:
-                continue
-            path, at = route_of[tok]
-            if at + 1 > len(path) - 1 or path[at] != v:
-                continue
-            if r + p.t_m - 1 > phase1_end:
-                continue  # would outlive the forwarding window
-            nxt = path[at + 1]
-            actions.append(Action(r, v, SEND, nxt, tok))
-            busy_until[v] = r + p.t_m - 1
-            piles[v].remove(tok)
-            route_of[tok] = (path, at + 1)
-            inflight.setdefault(r + p.t_m, []).append((nxt, tok))
-    for target, tok in inflight.pop(phase1_end + 1, ()):
-        piles[target].append(tok)
-    if inflight:
-        raise RuntimeError("token still in flight after the forwarding window")
+    steps = 0
+    while moving:
+        r = 1 + steps * p.t_m
+        steps += 1
+        landed = {}
+        for v in sorted(moving):
+            tok, path, at = moving[v]
+            actions.append(Action(r, v, SEND, path[at + 1], tok))
+            landed.setdefault(path[at + 1], []).append((tok, path, at + 1))
+        moving = {}
+        for v, arrived in landed.items():
+            if v not in sinks and not piles[v] and len(arrived) == 1:
+                moving[v] = arrived[0]
+            else:
+                piles[v].extend(tok for tok, _, _ in arrived)
+    merge_start = steps * p.t_m + 1
     merge_rounds = 0
     for v in range(g.n):
         k = len(piles[v])
         for i in range(k - 1):
-            actions.append(Action(phase1_end + 1 + i * p.t_c, v, COMPUTE))
+            actions.append(Action(merge_start + i * p.t_c, v, COMPUTE))
         merge_rounds = max(merge_rounds, (k - 1) * p.t_c)
-    return Schedule(phase1_end + merge_rounds, tuple(actions))
+    return Schedule(steps * p.t_m + merge_rounds, tuple(actions))
 
 
 def _fallback_pairing(g: Graph, p: NetworkParams, state: TokenState) -> Schedule:

@@ -16,7 +16,7 @@ import time
 
 from .approx import IterationStats, solve_tc
 from .brute import NoScheduleWithinLimitError, SearchInfeasibleError, brute_opt
-from .complete import baseline_lengths, build_tree, opt_complete, tree_size
+from .complete import baseline_lengths, build_tree, opt_complete, r_star
 from .core import (
     DisconnectedGraphError,
     Graph,
@@ -102,9 +102,9 @@ def _cmd_complete(args) -> int:
 
 def _cmd_tree(args) -> int:
     p = _params(args)
-    size = tree_size(args.R, p)
-    if size > 2_000_000:
-        print(f"error: tree for R={args.R} has {size} nodes; too large to emit", file=sys.stderr)
+    if args.R >= r_star(2_000_001, p):  # tree sizes never shrink as R grows
+        print(f"error: tree for R={args.R} exceeds the 2,000,000-node cap; too large to emit",
+              file=sys.stderr)
         return 2
     tree = build_tree(args.R, p)
     _emit(" ".join(str(x) for x in tree.parent) + "\n", args.out)

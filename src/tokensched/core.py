@@ -450,13 +450,10 @@ def lower_bounds(g: Graph, p: NetworkParams) -> tuple:
 
     compute_lb: merging n tokens into one needs ceil(log2 n) serialized
     merges.  radius_lb: some token must travel at least radius(g) hops.
+    Raises DisconnectedGraphError on a disconnected graph.
     """
     if g.n == 1:
         return (0, 0, 0)
-    if not g.is_connected():
-        raise DisconnectedGraphError(
-            "graph is disconnected; aggregation to one token is unsolvable"
-        )
     compute_lb = p.t_c * ceil_log2(g.n)
     radius_lb = p.t_m * g.radius()
     return (compute_lb, radius_lb, max(compute_lb, radius_lb))
@@ -464,11 +461,8 @@ def lower_bounds(g: Graph, p: NetworkParams) -> tuple:
 
 def trivial_upper_bound(g: Graph, p: NetworkParams) -> int:
     """Rounds used by the naive schedule that repeatedly routes one token to
-    another and merges: (n - 1) * (t_c + diameter * t_m)."""
+    another and merges: (n - 1) * (t_c + diameter * t_m).  Raises
+    DisconnectedGraphError on a disconnected graph."""
     if g.n == 1:
         return 0
-    if not g.is_connected():
-        raise DisconnectedGraphError(
-            "graph is disconnected; aggregation to one token is unsolvable"
-        )
     return (g.n - 1) * (p.t_c + g.diameter() * p.t_m)

@@ -259,6 +259,15 @@ def test_criterion_10_route_and_compute_contracts():
         end_c = simulate(g, p_c, frag_c, start=state)[-1]
         assert state.total_tokens() - end_c.total_tokens() >= len(dp) // 2, i
         assert all(len(end_c.tokens_at(v)) <= 1 for v in range(g.n)), i
+        for p, frag in ((p_m, frag_m), (p_c, frag_c)):
+            assert frag.length == frag.last_occupied_round(p), i
+            sends = [(a.start_round, a.node) for a in frag.actions if a.kind == "SEND"]
+            assert all(r % p.t_m == 1 % p.t_m for r, _ in sends), i
+            assert len(set(sends)) == len(sends), i  # one send per node per step
+        # Merging starts in the round after the last forwarding step ends.
+        merge_start = min(a.start_round for a in frag_c.actions if a.kind == "COMPUTE")
+        last_send = max(a.start_round for a in frag_c.actions if a.kind == "SEND")
+        assert merge_start == last_send + p_c.t_m, i
     _ok(10, "both routers hit their token-reduction contracts on 100 instances")
 
 

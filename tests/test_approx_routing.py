@@ -1,6 +1,7 @@
 import numpy as np
 
 from tokensched.core import (
+    Graph,
     NetworkParams,
     TokenState,
     simulate,
@@ -42,8 +43,6 @@ def test_shared_bottleneck_vertex():
     # k paths of length 2 all through one middle vertex.
     k = 4
     edges = [(i, k) for i in range(k)] + [(k, k + 1 + i) for i in range(k)]
-    from tokensched.core import Graph
-
     g = Graph(2 * k + 1, edges)
     dp = DirectedPathSet(tuple((i, k, k + 1 + i) for i in range(k)))
     p = NetworkParams(1, 2)
@@ -63,6 +62,25 @@ def test_opt_route_deterministic():
     a = opt_route(g, P11, dp, seed=9)
     b = opt_route(g, P11, dp, seed=9)
     assert a == b
+
+
+def test_opt_route_is_pinned():
+    # Node 1 holds its own packet and packet 0 at once, and node 0 later
+    # holds packets 1 and 2 at once: both queues are served in order.
+    paths = ((0, 1, 9), (1, 0, 8), (2, 0, 6, 7))
+    g = Graph(10, [(0, 1), (0, 2), (0, 6), (0, 8), (1, 9), (6, 7)])
+    dp = DirectedPathSet(paths)
+    assert dp.con == 3
+    pinned = {
+        (2, 1): (5, [(1, 0, 1, 0), (2, 1, 0, 1), (2, 2, 0, 2), (3, 0, 8, 1),
+                     (3, 1, 9, 0), (4, 0, 6, 2), (5, 6, 7, 2)]),
+        (3, 2): (10, [(1, 0, 1, 0), (3, 1, 0, 1), (3, 2, 0, 2), (5, 0, 8, 1),
+                      (5, 1, 9, 0), (7, 0, 6, 2), (9, 6, 7, 2)]),
+    }
+    for (tc, tm), (length, sends) in pinned.items():
+        frag = opt_route(g, NetworkParams(tc, tm), dp, seed=5)
+        assert frag.length == length
+        assert [(a.start_round, a.node, a.target, a.token) for a in frag.actions] == sends
 
 
 def test_route_m_single_path():
@@ -100,8 +118,6 @@ def test_route_c_single_short_path():
 
 def test_route_c_crossing_paths_sleep_and_merge():
     # Two paths crossing at vertex 2: whoever gets company stops and merges.
-    from tokensched.core import Graph
-
     g = Graph(5, [(0, 2), (1, 2), (2, 3), (2, 4)])
     dp = DirectedPathSet(((0, 2, 3), (1, 2, 4)))
     frag = route_paths_c(g, P11, dp)

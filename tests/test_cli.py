@@ -120,7 +120,9 @@ def test_tree_parent_array(capsys):
 def test_tree_too_large_exits_2(capsys):
     # The size check runs before anything is built, at any budget.
     assert run_cli("tree", "--R", "5000", "--tc", "1", "--tm", "1") == 2
-    assert "too large to emit" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "too large to emit" in err
+    assert len(err.encode()) < 200
 
 
 def test_brute_cli(tmp_path, capsys):
