@@ -37,6 +37,7 @@ from .core import (
     initial_state,
     replay_events,
     simulate,  # noqa: F401  (bench/test_bench.py checks tracing restores approx.simulate)
+    trivial_upper_bound,
     validate_schedule,
 )
 from .paths import DirectedPathSet, excise_loops
@@ -216,8 +217,7 @@ def solve_flow_lp(lp: FlowLP) -> FlowSolution:
 def xi_bound(g: Graph, p: NetworkParams) -> int:
     """Upper end of the step-count search range: twice the trivial schedule
     bound, measured in sends."""
-    d = g.diameter()
-    return math.ceil(2 * (g.n - 1) * (p.t_c + d * p.t_m) / p.t_m)
+    return math.ceil(2 * trivial_upper_bound(g, p) / p.t_m)
 
 
 def choose_L(g: Graph, W, p: NetworkParams):
@@ -319,7 +319,7 @@ def assign_paths(paths, W) -> DirectedPathSet:
     the leftover in/out-degree-one graph splits into chains and cycles whose
     alternate arcs become the remaining directed paths.  Sources and sinks
     are all distinct; congestion never increases and path length at most
-    doubles.
+    doubles.  Costs O(h * |W|) for h hubs, plus the total path length.
     """
     wset = set(W)
     by_source = {}
@@ -330,62 +330,41 @@ def assign_paths(paths, W) -> DirectedPathSet:
             raise ValueError(f"path {path} does not join two distinct holders")
         by_source[path[0]] = tuple(path)
 
-    alive = set(by_source)  # owners whose path is still in play
-    alive |= {by_source[w][-1] for w in by_source}
+    # into[v]: the owners whose path ends at v, ascending, for every vertex
+    # still in play; a vertex leaves the picture with its list.
+    into = {v: [] for path in by_source.values() for v in (path[0], path[-1])}
+    for w in sorted(by_source):
+        into[by_source[w][-1]].append(w)
     directed = []
-
-    def in_neighbors(v):
-        return sorted(w for w in alive if w in by_source and by_source[w][-1] == v)
-
-    while True:
-        hubs = [(v, in_neighbors(v)) for v in sorted(alive)]
-        hubs = [(len(nbrs), v, nbrs) for v, nbrs in hubs if len(nbrs) >= 2]
-        if not hubs:
+    while into:
+        v = min(into, key=lambda u: (-len(into[u]), u))
+        nbrs = into[v]
+        if len(nbrs) < 2:
             break
-        hubs.sort(key=lambda t: (-t[0], t[1]))
-        _, v, nbrs = hubs[0]
+        for u in (v, *nbrs):
+            del into[u]
         if len(nbrs) % 2 == 1:
-            dropped = nbrs.pop()  # highest id
-            alive.discard(dropped)
+            nbrs.pop()  # highest id
         for a, b in zip(nbrs[0::2], nbrs[1::2]):
             joined = by_source[a] + tuple(reversed(by_source[b][:-1]))
             directed.append(tuple(excise_loops(joined)))
-        alive.discard(v)
-        alive.difference_update(nbrs)
+        if v in by_source and by_source[v][-1] in into:
+            into[by_source[v][-1]].remove(v)
 
     # What survives has in- and out-degree at most one: chains and cycles.
-    succ = {
-        w: by_source[w][-1]
-        for w in sorted(alive)
-        if w in by_source and by_source[w][-1] in alive
-    }
-    pred = {v: w for w, v in succ.items()}
+    # Walk each from its head (chains first), or from its lowest vertex
+    # (cycles), and keep alternate arcs, never the last one of the walk.
+    succ = {w: by_source[w][-1] for w in into if w in by_source and by_source[w][-1] in into}
+    heads = sorted(set(succ) - set(succ.values()))
     visited = set()
-    for head in sorted(succ):
-        if head in visited or head in pred:
-            continue
-        chain = [head]
-        visited.add(head)
-        cur = head
-        while cur in succ:
-            cur = succ[cur]
-            chain.append(cur)
-            visited.add(cur)
-        for i in range(0, len(chain) - 1, 2):  # alternate arcs along the chain
-            directed.append(by_source[chain[i]])
-    for start in sorted(succ):
+    for start in heads + sorted(succ):
         if start in visited:
             continue
-        cyc = [start]
-        visited.add(start)
-        cur = succ[start]
-        while cur != start:
-            cyc.append(cur)
-            visited.add(cur)
-            cur = succ[cur]
-        # Alternate arcs, never the one wrapping back to the start.
-        for i in range(0, len(cyc) - 1, 2):
-            directed.append(by_source[cyc[i]])
+        walk = [start]
+        while walk[-1] in succ and succ[walk[-1]] != start:
+            walk.append(succ[walk[-1]])
+        visited.update(walk)
+        directed.extend(by_source[u] for u in walk[:-1:2])
     ps = DirectedPathSet(tuple(directed))
     ps.check_endpoints(members=wset)
     ps.check_simple()

@@ -52,17 +52,18 @@ class Graph:
     def __init__(self, n: int, edges):
         if n < 1:
             raise MalformedInputError(f"node count must be >= 1, got {n}")
-        adj = [set() for _ in range(n)]
+        adj = [[] for _ in range(n)]
         for u, v in edges:
             if u == v:
                 raise MalformedInputError(f"self-loop at node {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise MalformedInputError(f"edge ({u}, {v}) out of range for n={n}")
-            adj[u].add(v)
-            adj[v].add(u)
+            adj[u].append(v)
+            adj[v].append(u)
         self.n = n
-        # Isolated nodes share one empty frozenset, so a bare header costs one
-        # set per node while parsing, not two.
+        # Neighbours gather in lists (duplicates collapse in the frozenset);
+        # isolated nodes share one empty frozenset, so a bare header costs one
+        # empty list per node while parsing.
         self.adj = tuple(frozenset(a) if a else _NO_NEIGHBORS for a in adj)
         self.m = sum(map(len, self.adj)) // 2
 

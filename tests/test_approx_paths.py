@@ -1,3 +1,6 @@
+import random
+import time
+
 import numpy as np
 import pytest
 
@@ -83,6 +86,29 @@ def test_assign_chain():
     # 0 -> 1 -> 2 -> 3: alternate arcs become paths (0..1) and (2..3).
     dp = assign_paths(((0, 1), (1, 2), (2, 3)), [0, 1, 2, 3])
     assert set(dp.paths) == {(0, 1), (2, 3)}
+
+
+def test_assign_paths_is_pinned():
+    # Hubs 0 and 3 both have in-degree 2; the tie goes to 0, which owns the
+    # path into 3, so 3 drops to in-degree 1 and ends up inside chain 4 -> 3 -> 5.
+    fam = ((1, 10, 0), (2, 11, 0), (0, 12, 3), (4, 13, 3), (3, 14, 5))
+    assert assign_paths(fam, range(6)).paths == ((1, 10, 0, 11, 2), (4, 13, 3))
+    # Odd in-degree 5 at hub 0: the highest in-neighbour (5) is dropped.
+    fam = ((1, 0), (2, 0), (3, 0), (4, 0), (5, 0), (0, 6), (6, 7), (7, 8))
+    assert assign_paths(fam, range(9)).paths == ((1, 0, 2), (3, 0, 4), (6, 7))
+    # Chain 5 -> 3 -> 4 -> 6 is walked from its head before cycle 0 -> 1 -> 2.
+    fam = ((0, 1), (1, 2), (2, 0), (5, 3), (3, 4), (4, 6))
+    assert assign_paths(fam, range(7)).paths == ((5, 3), (4, 6), (0, 1))
+
+
+def test_assign_paths_scales_to_1000_holders():
+    rng = random.Random(1)
+    n = 1000
+    fam = [(w, n + w, (w + rng.choice((-2, -1, 1, 2))) % n) for w in range(n)]
+    start = time.perf_counter()
+    dp = assign_paths(fam, range(n))
+    assert time.perf_counter() - start < 1.0
+    assert len(dp) == 307
 
 
 def test_assign_rejects_bad_input():

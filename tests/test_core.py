@@ -52,6 +52,7 @@ def test_graph_ignores_edge_orientation_and_duplicates(g):
     ):
         h = Graph(g.n, variant)
         assert h == g and h.edges == g.edges and h.m == g.m == len(edges)
+        assert all(type(a) is frozenset for a in h.adj)
         assert hash(h) == hash(g)
         assert format_graph(h) == format_graph(g)
 
