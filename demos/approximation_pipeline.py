@@ -1,7 +1,8 @@
 """Walkthrough: the approximation pipeline on an arbitrary graph.
 
 Shows the stages one at a time on a random connected graph: the congestion
-LP over the time-expanded graph, random-walk path sampling, path direction,
+flow over the time-expanded graph (certified optimal, or solved as an LP),
+random-walk path sampling, path direction,
 and a route-and-compute round; then runs the full solver and prints its
 per-iteration report.
 """
@@ -27,10 +28,11 @@ p = NetworkParams(t_c=1, t_m=2)
 print(f"graph: n={g.n}, m={len(g.edges)}, diameter={g.diameter()}")
 
 print()
-print("== Stage 1: congestion LP over the time-expanded graph ==")
+print("== Stage 1: congestion flow over the time-expanded graph ==")
 W = list(range(g.n))
 L, flow = choose_L(g, W, p)
-print(f"  chosen step count L={L}, fractional vertex congestion z={flow.z:.3f}")
+source = "certified optimal without an LP" if flow.method == "certified" else "solved as an LP"
+print(f"  chosen step count L={L}, vertex congestion z={flow.z:.3f} ({source})")
 
 print()
 print("== Stage 2: sample one walk per token holder ==")
@@ -58,9 +60,9 @@ rows = []
 sched = solve_tc(g, p, seed=7, report=rows)
 print(f"  length {sched.length}, valid={validate_schedule(g, p, sched).valid}")
 print(f"  lower bound {lower_bounds(g, p)[2]}, naive upper bound {trivial_upper_bound(g, p)}")
-print("  iter holders   L      z con dil src rounds router")
+print("  iter holders   L      z con dil src rounds router flow")
 for r in rows:
     print(
         f"  {r.iteration:4d} {r.holders:7d} {r.L:3d} {r.z:6.2f} {r.con:3d} "
-        f"{r.dil:3d} {r.sources:3d} {r.fragment_rounds:6d} {r.router}"
+        f"{r.dil:3d} {r.sources:3d} {r.fragment_rounds:6d} {r.router:>6} {r.flow}"
     )

@@ -4,11 +4,21 @@ Pipeline, repeated until one token remains: solve a minimum-vertex-congestion
 multicommodity flow on a time-expanded copy of the graph (one commodity per
 token holder), sample one random walk per holder from its flow, direct the
 sampled paths into source/sink pairs with distinct endpoints, and route the
-source tokens to the sinks where they are merged.  Routing delays merges when
-computation dominates (t_c > t_m) and merges eagerly en route otherwise.
-Both routers run in lock step, one send per node per step of t_m rounds;
-merge-on-collision stops forwarding at the first step where nothing moves.
-The last few holders are aggregated greedily on a shortest-path tree.
+source tokens to the sinks where they are merged.
+
+The flow's congestion z is never below 2: the |W| units end at the |W|
+holders, none at its own source, so some holder absorbs a unit on top of its
+own token.  So the flow is first built combinatorially, one path per holder
+from a max-flow (_certified_flow); if that reaches z = 2 within D = diameter
+steps it is an LP optimum, and no LP is solved.  Otherwise (an odd holder
+count, a holder left unrouted, a path over D hops) the LP is built and
+solved with HiGHS, as on star-like graphs where holders block each other.
+
+Routing delays merges when computation dominates (t_c > t_m) and merges
+eagerly en route otherwise.  Both routers run in lock step, one send per
+node per step of t_m rounds; merge-on-collision stops forwarding at the first
+step where nothing moves.  The last few holders are aggregated greedily on a
+shortest-path tree.
 
 All randomness flows from one 64-bit seed through named spawn keys, so runs
 are reproducible action-for-action.
@@ -78,6 +88,7 @@ class FlowSolution:
     steps: int
     z: float
     flows: dict  # w -> {(step, u, v): value}
+    method: str = "lp"  # "certified" when _certified_flow built it
 
     def outflow(self, w: int, u: int, step: int) -> list:
         """Positive-flow arcs leaving u at a step, sorted by head id."""
@@ -220,14 +231,113 @@ def xi_bound(g: Graph, p: NetworkParams) -> int:
     return math.ceil(2 * trivial_upper_bound(g, p) / p.t_m)
 
 
+def _dfs_preorder(g: Graph) -> list:
+    """Vertices in depth-first preorder from vertex 0, neighbours ascending."""
+    seen = [False] * g.n
+    order = []
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        if not seen[u]:
+            seen[u] = True
+            order.append(u)
+            stack.extend(sorted(g.adj[u], reverse=True))
+    return order
+
+
+def _certified_flow(g: Graph, W, L: int) -> FlowSolution | None:
+    """An integral flow of build_flow_lp(g, W, L) with z = 2, or None.
+
+    Holders alternate between halves A and B along the depth-first preorder
+    from vertex 0.  A max-flow on the node-split graph sends 2 units out of
+    every A holder into B holders (2 each), through non-holders of capacity
+    2, never through a holder.  Its 2|A| paths (loops excised) make every
+    holder of degree 2 in the bipartite A-B multigraph, a union of even
+    cycles; walking each cycle, every holder sends on one path and absorbs
+    the next.  So each holder absorbs exactly one unit, never its own, and
+    every non-holder carries at most two: with every path at most L hops,
+    that is a feasible LP point at z = 2.  None when |W| is odd, some holder
+    stays unrouted or some path is longer than L.
+    """
+    W = tuple(sorted(set(W)))
+    if len(W) < 2 or len(W) % 2:
+        return None
+    wset = set(W)
+    order = [v for v in _dfs_preorder(g) if v in wset]
+    a_side = set(order[0::2])
+    # Vertex v is entered at 2v and left at 2v + 1; every arc has capacity
+    # 2.  An A holder is entered only from s, and a B holder is left only
+    # for t, so no path passes a holder.
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_flow
+
+    n = g.n
+    s, t = 2 * n, 2 * n + 1
+    edges = [(u, v) for u in range(n) for v in sorted(g.adj[u])]
+    tail = [s if v in a_side else 2 * v for v in range(n)]
+    head = [t if v in wset and v not in a_side else 2 * v + 1 for v in range(n)]
+    tail += [2 * u + 1 for u, _ in edges]
+    head += [2 * v for _, v in edges]
+    cap = csr_matrix(
+        (np.full(len(tail), 2, dtype=np.int32), (tail, head)), shape=(t + 1, t + 1)
+    )
+    res = maximum_flow(cap, s, t)
+    if res.flow_value < len(W):
+        return None
+    flow = np.asarray(res.flow[tail[n:], head[n:]]).ravel()
+
+    # Decompose into paths, each the lowest-id way on from where it stands.
+    left = {}  # u -> {v: units on u -> v not yet in a path}
+    for (u, v), f in zip(edges, flow.tolist()):
+        if f:
+            left.setdefault(u, {})[v] = f
+    paths = []
+    for a in order[0::2]:
+        for _ in range(2):
+            walk = [a]
+            while len(walk) == 1 or walk[-1] not in wset:
+                nbrs = left[walk[-1]]
+                v = min(nbrs)
+                nbrs[v] -= 1
+                if not nbrs[v]:
+                    del nbrs[v]
+                walk.append(v)
+            paths.append(tuple(excise_loops(walk)))
+    if max(len(path) for path in paths) - 1 > L:
+        return None
+
+    ends = {w: [] for w in W}
+    for i, path in enumerate(paths):
+        ends[path[0]].append(i)
+        ends[path[-1]].append(i)
+    taken = [False] * len(paths)
+    flows = {}
+    for u in order[0::2]:
+        while u not in flows:
+            i = next(i for i in ends[u] if not taken[i])
+            taken[i] = True
+            path = paths[i] if paths[i][0] == u else paths[i][::-1]
+            flows[u] = {(r, *arc): 1.0 for r, arc in enumerate(zip(path, path[1:]))}
+            u = path[-1]
+    return FlowSolution(g, W, L, 2.0, flows, method="certified")
+
+
 def choose_L(g: Graph, W, p: NetworkParams):
     """Pick the step count minimizing t_m * L + min(t_c, t_m) * z(L) over the
     geometric grid {D, 2D, 4D, ...} up to xi, plus xi itself.
 
+    Every LP has z >= 2: the |W| units are absorbed at the |W| holders, none
+    at its own source, so some holder takes a unit on top of its resident
+    token.  An integral flow with z = 2 at L = D (_certified_flow) is thus
+    optimal there, and every later grid point already loses on t_m * L, so
+    it is returned without an LP.  Otherwise the LPs are built and solved:
     z(L) is nonincreasing in L, so once t_m * L alone reaches the best
     objective seen, no later grid point can win and the scan stops.
     """
     d = max(1, g.diameter())
+    flow = _certified_flow(g, W, d)
+    if flow is not None:
+        return d, flow
     xi = xi_bound(g, p)
     grid = []
     L = d
@@ -529,6 +639,7 @@ class IterationStats:
     sources: int
     fragment_rounds: int
     router: str
+    flow: str  # FlowSolution.method of the iteration's flow; "-" on fallback rows
 
 
 def solve_tc(g: Graph, p: NetworkParams, seed: int, report: list | None = None) -> Schedule:
@@ -553,14 +664,14 @@ def solve_tc(g: Graph, p: NetworkParams, seed: int, report: list | None = None) 
     offset = 0
     cap = 24 * ceil_log2(g.n) + 8
 
-    def append(frag: Schedule, stats_prefix, router):
+    def append(frag: Schedule, stats_prefix, router, flow="-"):
         nonlocal state, offset
         if frag.actions:
             shifted = frag.shifted(offset)
             state = replay_events(g, p, shifted, start=state)[0]
             fragments.append(shifted)
             if report is not None:
-                report.append(IterationStats(*stats_prefix, frag.length, router))
+                report.append(IterationStats(*stats_prefix, frag.length, router, flow))
             offset += frag.length
 
     iteration = 0
@@ -592,7 +703,8 @@ def solve_tc(g: Graph, p: NetworkParams, seed: int, report: list | None = None) 
         else:
             frag = route_paths_c(g, p, dp, holdings=state)
             router = "c"
-        append(frag, (iteration, len(holders), L, flow.z, dp.con, dp.dil, len(dp)), router)
+        append(frag, (iteration, len(holders), L, flow.z, dp.con, dp.dil, len(dp)),
+               router, flow.method)
 
     actions = tuple(a for frag in fragments for a in frag.actions)
     sched = Schedule(offset, actions)

@@ -146,12 +146,12 @@ def _cmd_approx(args) -> int:
         lines = [
             f"# seed={seed} t_c={p.t_c} t_m={p.t_m} samples=ceil(4*log2(n))+1 "
             f"iteration_cap=24*ceil(log2(n))+8",
-            "iter,holders,L,z,con,dil,sources,fragment_rounds,router",
+            "iter,holders,L,z,con,dil,sources,fragment_rounds,router,flow",
         ]
         for r in rows:
             lines.append(
                 f"{r.iteration},{r.holders},{r.L},{r.z:.6g},{r.con},{r.dil},"
-                f"{r.sources},{r.fragment_rounds},{r.router}"
+                f"{r.sources},{r.fragment_rounds},{r.router},{r.flow}"
             )
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")

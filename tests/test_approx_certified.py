@@ -1,0 +1,146 @@
+"""The certified congestion-2 path system that stands in for the flow LP.
+
+With the LP as oracle: every flow `_certified_flow` returns is a feasible
+point of `build_flow_lp(g, W, D)` at z = 2, and the LP's own optimum there is
+2.  Where no certificate exists, `choose_L` returns the LP's answer; where
+one does, `solve_tc` never needs the LP at all.
+"""
+
+import time
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
+
+from tokensched import approx
+from tokensched.approx import (
+    LP_TOLERANCE,
+    _certified_flow,
+    build_flow_lp,
+    choose_L,
+    solve_flow_lp,
+    solve_tc,
+)
+from tokensched.core import Graph, NetworkParams, validate_schedule
+from tokensched.generators import grid_graph, path_graph, star_graph
+
+
+def flow_paths(flow) -> dict:
+    """holder -> its vertex path, read off its unit flow step by step."""
+    out = {}
+    for w, fw in flow.flows.items():
+        path = [w]
+        for r, u, v in sorted(fw):
+            assert r == len(path) - 1 and u == path[-1] and fw[(r, u, v)] == 1.0
+            path.append(v)
+        out[w] = tuple(path)
+    return out
+
+
+@st.composite
+def holder_instances(draw):
+    """A connected graph on 2..14 nodes and an even holder set of size >= 2."""
+    n = draw(st.integers(2, 14))
+    spanning = [(v, draw(st.integers(0, v - 1))) for v in range(1, n)]
+    node = st.integers(0, n - 1)
+    extra = draw(st.lists(st.tuples(node, node), max_size=n))
+    g = Graph(n, spanning + [(u, v) for u, v in extra if u != v])
+    k = draw(st.integers(1, n // 2))
+    W = sorted(draw(st.permutations(range(n)))[: 2 * k])
+    return g, W
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(holder_instances())
+def test_certified_flow_is_an_lp_optimum(inst):
+    g, W = inst
+    d = max(1, g.diameter())
+    flow = _certified_flow(g, W, d)
+    event("certified" if flow is not None else "no certificate")
+    if flow is None:
+        return
+    assert flow.method == "certified" and flow.z == 2.0 and flow.steps == d
+    lp = build_flow_lp(g, W, d)
+    col = {c: i for i, c in enumerate(lp.cols)}
+    x = np.zeros(lp.n_cols + 1)
+    for w, fw in flow.flows.items():
+        for (r, u, v), val in fw.items():
+            x[col[(w, r, u, v)]] += val  # KeyError: an arc the LP does not have
+    x[lp.n_cols] = 2.0
+    assert np.abs(lp.a_eq @ x - lp.b_eq).max() <= LP_TOLERANCE
+    assert (lp.a_ub @ x <= lp.b_ub + LP_TOLERANCE).all()
+    assert solve_flow_lp(lp).z == pytest.approx(2.0, abs=LP_TOLERANCE)
+
+    paths = flow_paths(flow)
+    assert sorted(paths) == W
+    for w, path in paths.items():
+        assert len(set(path)) == len(path)
+        assert 1 <= len(path) - 1 <= d
+        assert path[-1] in W and path[-1] != w
+        assert not set(path[1:-1]) & set(W)
+        assert all(g.has_edge(u, v) for u, v in zip(path, path[1:]))
+    assert sorted(path[-1] for path in paths.values()) == W  # one unit each
+
+
+def test_certificate_pairs_off_a_path_and_a_grid():
+    for g in (path_graph(6), grid_graph(4, 5)):
+        W = list(range(g.n))
+        flow = _certified_flow(g, W, g.diameter())
+        assert flow is not None
+        assert all(path[-1] != w for w, path in flow_paths(flow).items())
+        L, chosen = choose_L(g, W, NetworkParams(1, 2))
+        assert (L, chosen.method, chosen.z) == (g.diameter(), "certified", 2.0)
+
+
+def _assert_lp_answer(g, W, p):
+    L, sol = choose_L(g, W, p)
+    ref = solve_flow_lp(build_flow_lp(g, W, L))
+    assert sol.method == ref.method == "lp"
+    assert (sol.z, sol.flows) == (ref.z, ref.flows)
+    return L, sol
+
+
+def test_odd_holder_count_falls_back_to_the_lp():
+    g = path_graph(5)
+    W = [0, 2, 4]
+    assert _certified_flow(g, W, g.diameter()) is None
+    _assert_lp_answer(g, W, NetworkParams(1, 1))
+
+
+def test_path_over_the_diameter_falls_back_to_the_lp():
+    # The max-flow routes every holder, but one of its paths has 4 > D hops.
+    edges = [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (1, 4), (1, 7),
+             (2, 3), (3, 4), (3, 5), (3, 6)]
+    g = Graph(8, edges)
+    W = [2, 5, 6, 7]
+    assert g.diameter() == 3
+    assert _certified_flow(g, W, 3) is None
+    assert _certified_flow(g, W, 4) is not None
+    _assert_lp_answer(g, W, NetworkParams(1, 1))
+
+
+def test_star_falls_back_to_the_lp():
+    # The hub is a holder, and no path may pass through a holder.
+    g = star_graph(30)
+    W = list(range(30))
+    assert _certified_flow(g, W, g.diameter()) is None
+    L, sol = _assert_lp_answer(g, W, NetworkParams(1, 2))
+    assert L == g.diameter()
+    assert sol.z == pytest.approx(30.0, abs=LP_TOLERANCE)
+
+
+@pytest.mark.parametrize("tc,tm", [(1, 2), (2, 1)])
+def test_grid16_runs_without_the_lp(monkeypatch, tc, tm):
+    def no_lp(lp):
+        raise AssertionError("solve_flow_lp called")
+
+    monkeypatch.setattr(approx, "solve_flow_lp", no_lp)
+    g = grid_graph(16, 16)
+    p = NetworkParams(tc, tm)
+    rows = []
+    started = time.perf_counter()
+    s = solve_tc(g, p, seed=101, report=rows)
+    assert time.perf_counter() - started < 5.0
+    assert validate_schedule(g, p, s).valid
+    assert {r.flow for r in rows} == {"certified", "-"}

@@ -97,11 +97,13 @@ def test_choose_L_on_k2():
 
 
 def test_choose_L_beats_xi_endpoint():
+    # All four holders certify; three fall back to the LP grid scan.
     g = path_graph(4)
     p = NetworkParams(2, 1)
-    W = [0, 1, 2, 3]
-    L, sol = choose_L(g, W, p)
-    chosen = p.t_m * L + min(p.t_c, p.t_m) * sol.z
     xi = xi_bound(g, p)
-    at_xi = p.t_m * xi + min(p.t_c, p.t_m) * solve_flow_lp(build_flow_lp(g, W, xi)).z
-    assert chosen <= at_xi + TOL
+    for W, method in (([0, 1, 2, 3], "certified"), ([0, 1, 3], "lp")):
+        L, sol = choose_L(g, W, p)
+        assert sol.method == method
+        chosen = p.t_m * L + min(p.t_c, p.t_m) * sol.z
+        at_xi = p.t_m * xi + min(p.t_c, p.t_m) * solve_flow_lp(build_flow_lp(g, W, xi)).z
+        assert chosen <= at_xi + TOL

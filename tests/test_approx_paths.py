@@ -39,7 +39,8 @@ def test_sample_paths_k2():
 def test_sampled_path_properties():
     g = gnp_connected(12, 0.3, seed=8)
     W = [0, 2, 3, 5, 7, 9]
-    L, sol = choose_L(g, W, P11)
+    L, _ = choose_L(g, W, P11)
+    sol = solve_flow_lp(build_flow_lp(g, W, L))  # the LP's flow, not a certified one
     for seed in range(20):
         for path in sample_paths(sol, L, W, seed):
             assert path[0] in W and path[-1] in W and path[0] != path[-1]
@@ -52,8 +53,20 @@ def test_sampled_path_properties():
 def test_sample_paths_deterministic():
     g = gnp_connected(10, 0.35, seed=1)
     W = [0, 1, 4, 6]
-    L, sol = choose_L(g, W, P11)
+    L, _ = choose_L(g, W, P11)
+    sol = solve_flow_lp(build_flow_lp(g, W, L))  # the LP's flow, not a certified one
     assert sample_paths(sol, L, W, seed=5) == sample_paths(sol, L, W, seed=5)
+
+
+def test_sampling_draws_from_a_fractional_lp_flow():
+    # 26 holders that do not certify: choose_L solves the LP, whose flow is
+    # fractional, so the sampled paths change with the seed.
+    g = gnp_connected(27, 0.12, seed=1)
+    W = list(range(26))
+    L, sol = choose_L(g, W, NetworkParams(1, 2))
+    assert sol.method == "lp" and sol.z == pytest.approx(2.5)
+    assert any(0 < val < 1 for fw in sol.flows.values() for val in fw.values())
+    assert len({sample_paths(sol, L, W, seed) for seed in range(10)}) > 1
 
 
 def test_star_sampling_statistics():

@@ -150,8 +150,10 @@ def test_approx_cli_with_report(tmp_path):
     assert validate_schedule(g, NetworkParams(1, 2), read_schedule(out)).valid
     lines = rep.read_text().strip().splitlines()
     assert lines[0].startswith("#")
-    assert lines[1] == "iter,holders,L,z,con,dil,sources,fragment_rounds,router"
+    assert lines[1] == "iter,holders,L,z,con,dil,sources,fragment_rounds,router,flow"
     assert len(lines) >= 3
+    flows = [line.rsplit(",", 1)[1] for line in lines[2:]]
+    assert flows[0] == "certified" and set(flows) <= {"certified", "lp", "-"}
 
 
 def test_simulate_cli(tmp_path, capsys):
