@@ -354,55 +354,36 @@ def extract_opt_paths(g: Graph, p: NetworkParams, s: Schedule, W) -> DirectedPat
         raise ValueError(f"schedule is invalid: {report.violation}")
     if not W:
         return DirectedPathSet(())
-    wset = set(W)
     _, events = replay_events(g, p, s)
-
-    def active(tok) -> bool:
-        return len(tok & wset) % 2 == 1
-
-    pending = set(W)
+    # carrier maps each active token to its one pending singleton.  This
+    # holds by induction over merges: merging two active tokens pairs their
+    # carriers and leaves an inactive token, merging an active token with an
+    # inactive one passes the carrier on, and two inactive tokens stay
+    # inactive.  So a delivered token extends at most its carrier's trace.
+    carrier = {frozenset([w]): w for w in W}
     trace = {w: [w] for w in W}
-    frozen = {}
     partner = {}
-    live = {frozenset([v]) for v in range(g.n)}
     for ev in events:
         if ev[0] == "deliver":
             _, _, _, target, tok = ev
-            for w in wset & tok:
-                if w in pending:
-                    trace[w].append(target)
+            if tok in carrier:
+                trace[carrier[tok]].append(target)
         else:
-            _, rnd, node, a, b = ev
-            if active(a) and active(b):
-                pa = sorted(a & wset & pending)
-                pb = sorted(b & wset & pending)
-                if len(pa) != 1 or len(pb) != 1:
-                    raise RuntimeError(
-                        "active token does not contain exactly one pending singleton"
-                    )
-                wa, wb = pa[0], pb[0]
+            _, _, _, a, b = ev
+            wa, wb = carrier.pop(a, None), carrier.pop(b, None)
+            if wa is not None and wb is not None:
                 partner[wa], partner[wb] = wb, wa
-                frozen[wa] = list(trace[wa])
-                frozen[wb] = list(trace[wb])
-                pending.discard(wa)
-                pending.discard(wb)
-            live.discard(a)
-            live.discard(b)
-            live.add(a | b)
-            for tok in live:
-                k = len(tok & wset & pending)
-                if k != (1 if active(tok) else 0):
-                    raise RuntimeError(
-                        "pending-singleton invariant broken during replay"
-                    )
+            elif wa is not None or wb is not None:
+                carrier[a | b] = wb if wa is None else wa
+    pending = [w for w in W if w not in partner]
     if pending:
-        raise RuntimeError(f"singletons {sorted(pending)} never paired")
+        raise RuntimeError(f"singletons {pending} never paired")
     out = []
     for w in W:
         u = partner[w]
-        if frozen[w][-1] != frozen[u][-1]:
+        if trace[w][-1] != trace[u][-1]:
             raise RuntimeError("paired traces do not meet at one vertex")
-        out.append(tuple(frozen[w] + frozen[u][-2::-1]))
+        out.append(tuple(trace[w] + trace[u][-2::-1]))
     ps = DirectedPathSet(tuple(out))
     if ps.con * min(p.t_c, p.t_m) > 2 * s.length:
         raise RuntimeError(

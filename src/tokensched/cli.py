@@ -165,10 +165,10 @@ def _cmd_validate(args) -> int:
     s = read_schedule(args.schedule)
     report = validate_schedule(g, p, s)
     if report.valid:
-        print(f"valid length={s.length}")
+        _emit(f"valid length={s.length}\n", args.out)
         return 0
     r, node, rule, msg = report.violation
-    print(f"invalid rule={rule} round={r} node={node}: {msg}")
+    _emit(f"invalid rule={rule} round={r} node={node}: {msg}\n", args.out)
     return 1
 
 
@@ -215,8 +215,8 @@ def _cmd_mds(args) -> int:
         def scheduler(gg, pp):
             return solve_tc(gg, pp, seed)
     ds = mds_apx(g, scheduler, args.eps)
-    print(f"size {len(ds)}")
-    print(" ".join(str(v) for v in sorted(ds.members)))
+    members = " ".join(str(v) for v in sorted(ds.members))
+    _emit(f"size {len(ds)}\n{members}\n", args.out)
     return 0
 
 

@@ -7,14 +7,15 @@ joined under its root as one extra (last) subtree.  The optimal schedule for
 K_n greedily aggregates on the smallest such tree with at least n nodes,
 pruned down to exactly n nodes.
 
-tree_schedule is the one greedy aggregation scheduler: it runs on any parent
-array over graph ids with any starting token counts, and approx's endgame
-uses it on a shortest-path tree of its graph.
+The greedy rule lives in one place, `fold`: a node merges whenever it is
+free and holds two tokens, and otherwise waits for the next token to land.
+tree_schedule applies it to every node of any parent array over graph ids,
+children first, with any starting token counts; approx's endgame uses it on
+a shortest-path tree of its graph, and domset's gadget schedule at the hub.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -102,8 +103,10 @@ def r_star(n: int, p: NetworkParams) -> int:
 def prune_tree(tree: AggTree, n: int) -> AggTree:
     """Drop leaves, deepest first (ties to the larger id), until n nodes remain.
 
-    Greedy aggregation on the pruned tree is never slower than on the full
-    tree, so the budget R is kept.
+    The deepest remaining node is always a leaf, so this keeps the n nodes
+    that come first in (depth, id) order, relabelled in id order.  Greedy
+    aggregation on the pruned tree is never slower than on the full tree, so
+    the budget R is kept.
     """
     if not (1 <= n <= tree.size):
         raise ValueError(f"cannot prune {tree.size}-node tree to {n} nodes")
@@ -112,22 +115,11 @@ def prune_tree(tree: AggTree, n: int) -> AggTree:
     parent = tree.parent
     size = len(parent)
     depth = [0] * size
-    nchild = [0] * size
     for u in range(1, size):
         depth[u] = depth[parent[u]] + 1
-        nchild[parent[u]] += 1
-    # Each node enters the heap once, as a leaf; the root never does, since
-    # it has children whenever size > n >= 1.
-    heap = [(-depth[u], -u) for u in range(size) if nchild[u] == 0]
-    heapq.heapify(heap)
-    alive = [True] * size
-    for _ in range(size - n):
-        u = -heapq.heappop(heap)[1]
-        alive[u] = False
-        par = parent[u]
-        nchild[par] -= 1
-        if nchild[par] == 0 and par != 0:
-            heapq.heappush(heap, (-depth[par], -par))
+    alive = [False] * size
+    for u in sorted(range(size), key=depth.__getitem__)[:n]:  # stable: ties by id
+        alive[u] = True
     label = [0] * size
     kept = [-1]
     for u in range(1, size):
@@ -137,58 +129,77 @@ def prune_tree(tree: AggTree, n: int) -> AggTree:
     return AggTree(tree.R, tuple(kept))
 
 
+def fold(held: int, arrivals, r: int, p: NetworkParams) -> tuple:
+    """Greedy aggregation at one node: (merge start rounds, free round,
+    tokens left).
+
+    The node holds `held` tokens and is free from round r; one more token
+    lands at each round in the sorted `arrivals`.  Whenever it is free and
+    holds two or more tokens it merges two of them (busy t_c rounds);
+    otherwise it waits for the next arrival.  The free round returned is the
+    first round, no earlier than the last arrival, at which the node is free;
+    it then holds at most one token.
+    """
+    starts = []
+    i = 0
+    while True:
+        while i < len(arrivals) and arrivals[i] <= r:
+            held += 1
+            i += 1
+        if held >= 2:
+            starts.append(r)
+            held -= 1
+            r += p.t_c
+        elif i < len(arrivals):
+            r = arrivals[i]
+        else:
+            return starts, r, held
+
+
 def tree_schedule(parent: list, tokens: list, p: NetworkParams) -> tuple:
     """Greedy aggregation on a rooted tree: (actions, last occupied round).
 
     parent[u] is u's parent, or -1 for the root and for nodes off the tree;
     tokens[u] is u's starting token count, 0 on a relay.  Actions name each
-    node by its index u.  Rules, applied whenever a node is free: with two or
-    more tokens it merges; a non-root with exactly one token that has heard
-    from every child sends to its parent.
+    node by its index u.  Nodes are scheduled children first (Kahn's order
+    from the childless nodes), each by one `fold` from round 1 over the
+    rounds its children's tokens land; a non-root left with one token then
+    sends it to its parent, which hears it t_m rounds later.  So a node
+    merges whenever it is free with two or more tokens, and sends once it is
+    free with one token and has heard from every child.
 
     Precondition, not checked: every leaf holds at least one token and no
-    node off the tree holds any.  Otherwise the loop stops early with tokens
-    left over.
+    node off the tree holds any.  Otherwise a node without a token does not
+    send, nor does any of its ancestors, and tokens are left over.
     """
     size = len(parent)
-    want = [0] * size  # arrivals to hear before sending
+    waiting = [0] * size  # children not yet scheduled
     for q in parent:
         if q >= 0:
-            want[q] += 1
-    tokens = list(tokens)
-    heard = [0] * size
-    busy_until = [0] * size
+            waiting[q] += 1
+    arrivals = [[] for _ in range(size)]
+    silent = [False] * size  # some child sent nothing
     actions = []
-    # Event queue: (round, kind, node) with kind 0 = token arrival (counted
-    # when popped, i.e. at delivery), kind 1 = wake-up.  A busy node re-queues
-    # itself for its free round; processing is otherwise idempotent.
-    heap = [
-        (1, 1, u) for u in range(size)
-        if (want[u] == 0 and parent[u] >= 0) or tokens[u] >= 2
-    ]
-    heapq.heapify(heap)
-    while heap:
-        r, kind, u = heapq.heappop(heap)
-        if kind == 0:
-            tokens[u] += 1
-            heard[u] += 1
-        if busy_until[u] >= r:
-            heapq.heappush(heap, (busy_until[u] + 1, 1, u))
+    last = 0
+    ready = [u for u in range(size) if waiting[u] == 0]
+    for u in ready:  # grows as parents become ready
+        starts, r, held = fold(tokens[u], sorted(arrivals[u]), 1, p)
+        actions.extend(Action(s, u, COMPUTE) for s in starts)
+        if starts:
+            last = max(last, starts[-1] + p.t_c - 1)
+        q = parent[u]
+        if q < 0:
             continue
-        if tokens[u] >= 2:
-            actions.append(Action(r, u, COMPUTE))
-            busy_until[u] = r + p.t_c - 1
-            tokens[u] -= 1  # merge lands at r + t_c; only u reads this, when free
-            heapq.heappush(heap, (r + p.t_c, 1, u))
-        elif parent[u] >= 0 and tokens[u] == 1 and heard[u] == want[u]:
-            # Sends at most once: every child has been heard, so u never
-            # holds a token again.
-            actions.append(Action(r, u, SEND, parent[u]))
-            busy_until[u] = r + p.t_m - 1
-            tokens[u] = 0
-            heapq.heappush(heap, (r + p.t_m, 0, parent[u]))
-        # Otherwise nothing to do; a later arrival re-queues the node.
-    return tuple(actions), max(busy_until, default=0)
+        if held and not silent[u]:
+            actions.append(Action(r, u, SEND, q))
+            last = max(last, r + p.t_m - 1)
+            arrivals[q].append(r + p.t_m)
+        else:
+            silent[q] = True
+        waiting[q] -= 1
+        if waiting[q] == 0:
+            ready.append(q)
+    return tuple(actions), last
 
 
 def greedy_schedule(tree: AggTree, p: NetworkParams) -> Schedule:

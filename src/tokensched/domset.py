@@ -16,6 +16,7 @@ import warnings
 from dataclasses import dataclass
 from itertools import combinations
 
+from .complete import fold
 from .core import (
     COMPUTE,
     SEND,
@@ -126,61 +127,38 @@ def schedule_from_dominating_set(gadget: PsiGadget, ds: DominatingSet) -> Schedu
 
     Round 1: danglers send to the hub, the hub sends its token to the special
     dangler, every dominated vertex sends to its dominator, and dominators
-    with nothing to wait for send immediately.  Then dominators fold their
-    piles and forward to the hub, the special dangler merges and returns, and
-    the hub eagerly folds everything it receives.  For base max degree >= 2
+    with nothing to wait for send immediately.  Then each dominator folds its
+    pile and the special dangler the hub's token (complete.fold, the greedy
+    rule of tree_schedule), and each forwards the result to the hub, which
+    folds everything it receives by the same rule.  For base max degree >= 2
     the length is at most 2 * t_m + max_degree + |κ|.
     """
     g, t_m = gadget.base, gadget.t_m
     if ds.members - set(range(g.n)):
         raise ValueError("dominating set names nodes outside the base graph")
     make_dominating_set(g, ds.members)  # re-verify on the base
-    hub, special = gadget.hub, gadget.special
-    actions = []
-    hub_arrivals = []
-    for d in gadget.danglers:
-        actions.append(Action(1, d, SEND, hub))
-        hub_arrivals.append(1 + t_m)
+    hub, special, p = gadget.hub, gadget.special, gadget.params
+    actions = [Action(1, d, SEND, hub) for d in gadget.danglers]
+    hub_arrivals = [1 + t_m] * len(gadget.danglers)
     actions.append(Action(1, hub, SEND, special))
     pile = {m: 0 for m in ds.members}
+    pile[special] = 1  # the hub's token
     for v in range(g.n):
         m = ds.certificate[v]
         if m != v:
             actions.append(Action(1, v, SEND, m))
             pile[m] += 1
-    for m in sorted(ds.members):
-        p = pile[m]
-        if p == 0:
-            actions.append(Action(1, m, SEND, hub))
-            hub_arrivals.append(1 + t_m)
-        else:
-            for i in range(p):
-                actions.append(Action(t_m + 1 + i, m, COMPUTE))
-            actions.append(Action(t_m + 1 + p, m, SEND, hub))
-            hub_arrivals.append(2 * t_m + 1 + p)
-    actions.append(Action(t_m + 1, special, COMPUTE))
-    actions.append(Action(t_m + 2, special, SEND, hub))
-    hub_arrivals.append(2 * t_m + 2)
-    # The hub folds greedily, one unit-cost merge per round, as tokens land.
-    hub_arrivals.sort()
-    held = 0
-    merges_left = len(hub_arrivals) - 1
-    r = t_m + 1  # the hub is busy with its own send through round t_m
-    idx = 0
-    last = 0
-    while merges_left > 0:
-        while idx < len(hub_arrivals) and hub_arrivals[idx] <= r:
-            held += 1
-            idx += 1
-        if held >= 2:
-            actions.append(Action(r, hub, COMPUTE))
-            held -= 1
-            merges_left -= 1
-            last = r
-            r += 1
-        else:
-            r = hub_arrivals[idx]  # idle until the next arrival
-    return Schedule(last, tuple(actions))
+    # Each dominator folds its pile, the special dangler the hub's token;
+    # each then sends to the hub.
+    for m in [*sorted(ds.members), special]:
+        starts, r, _ = fold(1, [1 + t_m] * pile[m], 1, p)
+        actions.extend(Action(s, m, COMPUTE) for s in starts)
+        actions.append(Action(r, m, SEND, hub))
+        hub_arrivals.append(r + t_m)
+    # The hub is busy with its own send through round t_m.
+    starts, _, _ = fold(0, sorted(hub_arrivals), t_m + 1, p)
+    actions.extend(Action(s, hub, COMPUTE) for s in starts)
+    return Schedule(starts[-1], tuple(actions))
 
 
 def _iceil(x: float) -> int:

@@ -21,6 +21,7 @@ from tokensched.complete import r_star, tree_size
 from tokensched.generators import (
     complete_graph,
     cycle_graph,
+    grid_graph,
     path_graph,
     star_graph,
 )
@@ -143,6 +144,15 @@ def test_extract_paths_drops_one_when_odd():
     for path in ps.paths:
         assert path[0] in {0, 1} and path[-1] in {0, 1}
         assert path[0] != path[-1]
+
+
+def test_extract_paths_on_grid_is_pinned():
+    g, p = grid_graph(2, 3), NetworkParams(1, 2)
+    res = brute_opt(g, p, force=True)
+    assert res.opt_length == 6
+    assert extract_opt_paths(g, p, res.schedule, range(6)).paths == (
+        (0, 1, 2), (1, 0, 3), (2, 1, 0), (3, 0, 1), (4, 1, 2, 5), (5, 2, 1, 4),
+    )
 
 
 def test_extract_paths_endpoint_properties():

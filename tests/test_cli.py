@@ -95,6 +95,24 @@ def test_validate_exit_codes(tmp_path):
                    "--tc", "1", "--tm", "1", "--quiet") == 2
 
 
+def test_validate_writes_its_verdict_to_out(tmp_path, capsys):
+    graph = tmp_path / "p3.txt"
+    assert run_cli("gen", "--kind", "path", "--n", "3", "--out", str(graph)) == 0
+    good = tmp_path / "good.sched"
+    good.write_text("TCSCHED 1\nlength 3\n1 0 SEND 1\n1 2 SEND 1\n2 1 COMPUTE\n3 1 COMPUTE\n")
+    bad = tmp_path / "bad.sched"
+    bad.write_text("TCSCHED 1\nlength 2\n1 0 COMPUTE\n")
+    verdict = tmp_path / "verdict.txt"
+    capsys.readouterr()
+    assert run_cli("validate", "--graph", str(graph), "--schedule", str(good),
+                   "--tc", "1", "--tm", "1", "--out", str(verdict)) == 0
+    assert verdict.read_text() == "valid length=3\n"
+    assert run_cli("validate", "--graph", str(graph), "--schedule", str(bad),
+                   "--tc", "1", "--tm", "1", "--out", str(verdict)) == 1
+    assert verdict.read_text().startswith("invalid rule=")
+    assert capsys.readouterr().out == ""
+
+
 def test_unknown_flags_exit_2(capsys):
     assert run_cli("complete", "--n", "4", "--tc", "1", "--tm", "1",
                    "--frobnicate") == 2
@@ -190,6 +208,18 @@ def test_mds_cli(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("size ")
+
+
+def test_mds_cli_writes_to_out(tmp_path, capsys):
+    graph = tmp_path / "p2.txt"
+    run_cli("gen", "--kind", "path", "--n", "2", "--out", str(graph))
+    out = tmp_path / "mds.txt"
+    capsys.readouterr()
+    with pytest.warns(UserWarning):
+        assert run_cli("mds", "--graph", str(graph), "--eps", "1", "--scheduler", "approx",
+                       "--seed", "1", "--out", str(out), "--quiet") == 0
+    assert out.read_text() == "size 2\n0 1\n"
+    assert capsys.readouterr().out == ""
 
 
 def test_gen_seed_reproducible(tmp_path):

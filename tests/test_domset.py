@@ -15,6 +15,7 @@ from tokensched.domset import (
     psi_transform,
     schedule_from_dominating_set,
 )
+from tokensched.files import format_schedule
 from tokensched.generators import (
     complete_graph,
     cycle_graph,
@@ -107,6 +108,20 @@ def test_schedule_from_ds_single_vertex_base():
     s = schedule_from_dominating_set(gadget, make_dominating_set(g, [0]))
     assert validate_schedule(gadget.graph, gadget.params, s).valid
     assert s.length == 4
+
+
+def test_schedule_from_ds_is_pinned():
+    # C5 with κ = {0, 2}: hub 5, special dangler 6, plain danglers 7..10.
+    g = cycle_graph(5)
+    s = schedule_from_dominating_set(psi_transform(g, 2), min_dominating_set(g))
+    assert format_schedule(s) == (
+        "TCSCHED 1\nlength 8\n"
+        "1 1 SEND 0\n1 3 SEND 2\n1 4 SEND 0\n1 5 SEND 6\n"
+        "1 7 SEND 5\n1 8 SEND 5\n1 9 SEND 5\n1 10 SEND 5\n"
+        "3 0 COMPUTE\n3 2 COMPUTE\n3 5 COMPUTE\n3 6 COMPUTE\n"
+        "4 0 COMPUTE\n4 2 SEND 5\n4 5 COMPUTE\n4 6 SEND 5\n"
+        "5 0 SEND 5\n5 5 COMPUTE\n6 5 COMPUTE\n7 5 COMPUTE\n8 5 COMPUTE\n"
+    )
 
 
 def test_schedule_from_ds_rejects_bad_set():
