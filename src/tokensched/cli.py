@@ -208,7 +208,7 @@ def _cmd_mds(args) -> int:
     if args.scheduler == "brute":
         def scheduler(gg, pp):
             try:
-                return brute_opt(gg, pp, limit=3 * pp.t_m - 1, force=True).schedule
+                return brute_opt(gg, pp, limit=3 * pp.t_m - 1).schedule
             except NoScheduleWithinLimitError:
                 return None
     else:
@@ -315,7 +315,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("mds", help="dominating set via aggregation scheduling")
     sp.add_argument("--graph", required=True)
     sp.add_argument("--eps", type=float, required=True)
-    sp.add_argument("--scheduler", choices=["brute", "approx"], required=True)
+    sp.add_argument("--scheduler", choices=["brute", "approx"], required=True,
+                    help="brute fits only gadgets within brute_opt's search "
+                         "envelope and otherwise exits 2")
     common(sp, seed=True)
     sp.set_defaults(func=_cmd_mds)
 

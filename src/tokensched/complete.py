@@ -21,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 
-from .core import COMPUTE, SEND, Action, NetworkParams, Schedule
+from .core import COMPUTE, SEND, Action, NetworkParams, Schedule, _nogc
 
 
 def _sizes(p: NetworkParams):
@@ -42,17 +42,6 @@ def tree_size(R: int, p: NetworkParams) -> int:
     return next(islice(_sizes(p), R, None))
 
 
-def _child_budgets(budget: int, p: NetworkParams) -> list:
-    """Budgets of the root's subtrees, in child order (joined subtree last)."""
-    buds = []
-    b = budget
-    while b >= p.t_c + p.t_m:
-        buds.append(b - p.t_c - p.t_m)
-        b -= p.t_c
-    buds.reverse()
-    return buds
-
-
 @dataclass(frozen=True)
 class AggTree:
     """Rooted aggregation tree grown for round budget R, as a parent array.
@@ -68,6 +57,7 @@ class AggTree:
     def size(self) -> int:
         return len(self.parent)
 
+    @_nogc
     def edges(self) -> list:
         par = self.parent
         return [(par[u], u) for u in range(1, len(par))]
@@ -81,15 +71,18 @@ def build_tree(R: int, p: NetworkParams) -> AggTree:
     """
     if R < 0:
         raise ValueError(f"round budget must be >= 0, got {R}")
+    w, t_c = p.t_c + p.t_m, p.t_c
     parent = [-1]
-    stack = [(0, R)]
+    stack = [(0, R)] if R >= w else []  # (node, budget) of nodes with children
     while stack:
         node, budget = stack.pop()
-        buds = _child_budgets(budget, p)
-        kids = range(len(parent), len(parent) + len(buds))
-        parent.extend([node] * len(buds))
-        # Visit in reverse so descent follows child order.
-        stack.extend(zip(reversed(kids), reversed(buds)))
+        # The k children's budgets step by t_c up to budget - w (the joined
+        # subtree, last).  Leaves (budget < w) take their ids here and are
+        # never pushed; the rest go on in reverse, so descent is in order.
+        k = (budget - w) // t_c + 1
+        parent.extend([node] * k)
+        last = len(parent) - 1
+        stack.extend(zip(range(last, last - k, -1), range(budget - w, w - 1, -t_c)))
     return AggTree(R, tuple(parent))
 
 
@@ -202,30 +195,13 @@ def tree_schedule(parent: list, tokens: list, p: NetworkParams) -> tuple:
     return tuple(actions), last
 
 
+@_nogc
 def greedy_schedule(tree: AggTree, p: NetworkParams) -> Schedule:
     """Greedy aggregation on the tree, one token per node (leaves therefore
     send in round 1).  The declared schedule length is the tree's budget R;
     on a budget-R tree aggregation always completes within R rounds.
     """
     return Schedule(tree.R, tree_schedule(tree.parent, [1] * tree.size, p)[0])
-
-
-def greedy_completion_round(R: int, p: NetworkParams) -> int:
-    """Round by which greedy aggregation on the budget-R tree holds one token.
-
-    Computed by recurrence over budgets, without building the tree: a subtree
-    finished at round c sends during [c + 1, c + t_m] and its parent can merge
-    from round c + t_m + 1 on; a parent chains merges greedily over its
-    children's arrivals.  Serves as an independent check on greedy_schedule.
-    """
-
-    comp = []  # comp[b]: completion round on the budget-b tree
-    for budget in range(R + 1):
-        finish = 0  # free from round finish + 1
-        for a in sorted(comp[b] + p.t_m + 1 for b in _child_budgets(budget, p)):
-            finish = max(a, finish + 1) + p.t_c - 1
-        comp.append(finish)
-    return comp[R]
 
 
 def opt_complete(n: int, p: NetworkParams) -> Schedule:

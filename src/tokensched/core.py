@@ -9,10 +9,10 @@ counts at the sender until delivery.
 
 from __future__ import annotations
 
-from collections import deque
+import gc
+from collections import deque, namedtuple
 from dataclasses import dataclass
-from functools import cached_property
-from heapq import heappop, heappush
+from functools import cached_property, wraps
 
 SEND = "SEND"
 COMPUTE = "COMPUTE"
@@ -38,6 +38,26 @@ class InvalidScheduleError(ValueError):
         self.message = message
 
 
+def _nogc(fn):
+    """fn run with the cyclic garbage collector paused, then set back as the
+    caller had it, so a nested call changes nothing.  For bulk builders of
+    acyclic data (ints, strings, tuples, lists, frozensets): reference
+    counting frees all of it, and collections would only sweep the growing
+    heap again and again.  The setting is process-wide, threads included."""
+
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    return paused
+
+
 _NO_NEIGHBORS = frozenset()
 
 
@@ -49,6 +69,7 @@ class Graph:
     the node degrees.
     """
 
+    @_nogc
     def __init__(self, n: int, edges):
         if n < 1:
             raise MalformedInputError(f"node count must be >= 1, got {n}")
@@ -66,6 +87,13 @@ class Graph:
         # empty list per node while parsing.
         self.adj = tuple(frozenset(a) if a else _NO_NEIGHBORS for a in adj)
         self.m = sum(map(len, self.adj)) // 2
+
+    @classmethod
+    def _from_adjacency(cls, adj: tuple) -> "Graph":
+        """Graph over symmetric, loop-free neighbour frozensets; unchecked."""
+        g = cls.__new__(cls)
+        g.n, g.adj, g.m = len(adj), adj, sum(map(len, adj)) // 2
+        return g
 
     @cached_property
     def edges(self) -> frozenset:
@@ -141,38 +169,43 @@ class NetworkParams:
         return self.t_m if kind == SEND else self.t_c
 
 
-@dataclass(frozen=True)
-class Action:
-    """One timed action of one node.
+class Action(namedtuple("Action", "start_round node kind target token",
+                        defaults=(None, None))):
+    """One timed action of one node, as an immutable tuple record.
 
     SEND occupies [start_round, start_round + t_m - 1]; COMPUTE occupies
     [start_round, start_round + t_c - 1].  `token`, when set, names the sent
     token by the lowest singleton id it contains; an unnamed SEND transmits
-    the node's oldest-acquired token.
+    the node's oldest-acquired token.  Every way to build one (the
+    constructor, `_make`, `_replace`, unpickling) checks the kind and its
+    fields.  Like any tuple, an Action equals the plain tuple of its fields.
     """
 
-    start_round: int
-    node: int
-    kind: str
-    target: int | None = None
-    token: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in (SEND, COMPUTE):
-            raise MalformedInputError(f"unknown action kind {self.kind!r}")
-        if self.kind == SEND and self.target is None:
-            raise MalformedInputError("SEND needs a target")
-        if self.kind == COMPUTE and (self.target is not None or self.token is not None):
-            raise MalformedInputError("COMPUTE takes no target or token")
+    def __new__(cls, start_round: int, node: int, kind: str,
+                target: int | None = None, token: int | None = None):
+        if kind == SEND:
+            if target is None:
+                raise MalformedInputError("SEND needs a target")
+        elif kind == COMPUTE:
+            if target is not None or token is not None:
+                raise MalformedInputError("COMPUTE takes no target or token")
+        else:
+            raise MalformedInputError(f"unknown action kind {kind!r}")
+        return tuple.__new__(cls, (start_round, node, kind, target, token))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def sort_key(self):
-        return (
-            self.start_round,
-            self.node,
-            0 if self.kind == COMPUTE else 1,
-            -1 if self.target is None else self.target,
-            -1 if self.token is None else self.token,
-        )
+        """(start_round, node, COMPUTE before SEND, target, token), with -1
+        for a field that is unset."""
+        r, v, kind, target, token = self  # unpacking beats five field reads
+        if kind == COMPUTE:
+            return (r, v, 0, -1, -1)
+        return (r, v, 1, target, -1 if token is None else token)
 
 
 @dataclass(frozen=True)
@@ -195,10 +228,7 @@ class Schedule:
 
     def shifted(self, offset: int) -> "Schedule":
         """Same actions delayed by `offset` rounds."""
-        moved = tuple(
-            Action(a.start_round + offset, a.node, a.kind, a.target, a.token)
-            for a in self.actions
-        )
+        moved = tuple(a._replace(start_round=a.start_round + offset) for a in self.actions)
         return Schedule(self.length + offset, moved)
 
     def last_occupied_round(self, p: NetworkParams) -> int:
@@ -254,13 +284,15 @@ class _Replay:
     """The one replay engine, shared by the validator and the simulator:
     constructing it replays the schedule to its end.
 
-    It walks the actions in canonical order while a heap holds the effects
-    (deliveries, merge completions) still to land, so a replay costs
-    O(A log A) in the number of actions A, whatever the declared length.
-    Every effect landing at or before a round is applied before that round's
-    actions are checked and started; within a round, merge completions land
-    first (by node), then deliveries (by sender, target), so a delivered token
-    is always newer in acquisition order than a merge finishing that round.
+    It walks the actions in canonical order, by round, node, then target;
+    merges last t_c and sends t_m rounds, so merge completions and deliveries
+    each come due in the order they start, and two queues hold them.  A
+    replay costs O(A) in the number of actions A, whatever the declared
+    length.  Every effect landing at or before a round is applied before that
+    round's actions are checked and started; within a round, merge
+    completions land first (by node), then deliveries (by sender, target), so
+    a delivered token is always newer in acquisition order than a merge
+    finishing that round.
 
     Tokens are integer handles carrying their lowest singleton id; contents
     are built only when a caller reads them.  Rule violations raise
@@ -269,6 +301,7 @@ class _Replay:
     reaches it, after every earlier action.
     """
 
+    @_nogc
     def __init__(self, g: Graph, p: NetworkParams, s: Schedule,
                  start: TokenState | None = None, record_events: bool = False,
                  record_states: bool = False):
@@ -316,11 +349,15 @@ class _Replay:
         holdings, sets, parts, min_id = self.holdings, self.sets, self.parts, self.min_id
         events, states = self.events, self.states
         busy_until = [0] * g.n
-        pending = []  # heap of (round, _MERGE/_DELIVER, node, target, a, b)
+        # (round, _MERGE/_DELIVER, node, target, a, b), each in landing order
+        merges, deliveries = deque(), deque()
         for a in (*s.actions, None):
             now = length + 1 if a is None else a.start_round
-            while pending and pending[0][0] <= now:
-                effect = heappop(pending)
+            while merges and merges[0][0] <= now or deliveries and deliveries[0][0] <= now:
+                # the earlier head lands first, a merge on a tie
+                q = merges if merges and not (deliveries and deliveries[0][0] < merges[0][0]) \
+                    else deliveries
+                effect = q.popleft()
                 r, kind, node, target, x, y = effect
                 held = holdings[node]
                 held.remove(x)
@@ -334,47 +371,47 @@ class _Replay:
                     holdings[target].append(x)
                 if events is not None:
                     events.append(effect)
-                if states is not None and (not pending or pending[0][0] != r):
+                if states is not None and all(q[0][0] != r for q in (merges, deliveries) if q):
                     states.append((r, self.state()))
             if a is None:
                 return
-            v = a.node
+            _, v, kind, target, token = a
             if not (0 <= v < g.n):
                 raise MalformedInputError(f"action names unknown node {v}")
-            if a.kind == SEND:
-                if not (0 <= a.target < g.n) or a.target == v:
+            if kind == SEND:
+                if not (0 <= target < g.n) or target == v:
                     raise MalformedInputError(
-                        f"round {now}: node {v} sends to invalid node {a.target}"
+                        f"round {now}: node {v} sends to invalid node {target}"
                     )
-                if a.target not in g.adj[v]:
+                if target not in g.adj[v]:
                     raise MalformedInputError(
-                        f"round {now}: nodes {v} and {a.target} are not neighbors"
+                        f"round {now}: nodes {v} and {target} are not neighbors"
                     )
-            dur = duration[a.kind]
+            dur = duration[kind]
             if now < 1 or now + dur - 1 > length:
                 raise InvalidScheduleError(
                     now, v, "d",
-                    f"{a.kind} occupies [{now}, {now + dur - 1}] outside [1, {length}]",
+                    f"{kind} occupies [{now}, {now + dur - 1}] outside [1, {length}]",
                 )
             if busy_until[v] >= now:
                 raise InvalidScheduleError(now, v, "c", f"node busy until round {busy_until[v]}")
             held = holdings[v]
-            if a.kind == SEND:
+            if kind == SEND:
                 if not held:
                     raise InvalidScheduleError(now, v, "a", "send with no token in hand")
-                if a.token is None:
+                if token is None:
                     tok = held[0]  # oldest-acquired
                 else:
-                    tok = next((t for t in held if min_id[t] == a.token), None)
+                    tok = next((t for t in held if min_id[t] == token), None)
                     if tok is None:
-                        raise InvalidScheduleError(now, v, "a", f"named token {a.token} not held")
-                heappush(pending, (now + dur, _DELIVER, v, a.target, tok, -1))
+                        raise InvalidScheduleError(now, v, "a", f"named token {token} not held")
+                deliveries.append((now + dur, _DELIVER, v, target, tok, -1))
             else:
                 if len(held) < 2:
                     raise InvalidScheduleError(
                         now, v, "b", f"compute with {len(held)} token(s) in hand"
                     )
-                heappush(pending, (now + dur, _MERGE, v, v, held[0], held[1]))  # two oldest
+                merges.append((now + dur, _MERGE, v, v, held[0], held[1]))  # two oldest
             busy_until[v] = now + dur - 1
 
 
@@ -425,7 +462,7 @@ def validate_schedule(g: Graph, p: NetworkParams, s: Schedule,
     (d) every occupancy window fits in [1, length],
     (e) exactly one token remains after the last round.
 
-    Costs O(A log A) in the number of actions A, not in the declared length.
+    Costs O(A) in the number of actions A, not in the declared length.
     """
     try:
         eng = _Replay(g, p, s, start)

@@ -18,7 +18,7 @@ before any adjacency is allocated, so a tiny file cannot exhaust memory.
 
 from __future__ import annotations
 
-from .core import COMPUTE, SEND, Action, Graph, MalformedInputError, Schedule
+from .core import COMPUTE, SEND, Action, Graph, MalformedInputError, Schedule, _nogc
 
 MAX_NODES = 1_000_000
 
@@ -68,6 +68,7 @@ def format_graph(g: Graph) -> str:
     return "\n".join(out) + "\n"
 
 
+@_nogc
 def parse_schedule(text: str) -> Schedule:
     lines = list(_data_lines(text))
     if len(lines) < 2:
@@ -120,13 +121,13 @@ def parse_schedule(text: str) -> Schedule:
 
 def format_schedule(s: Schedule) -> str:
     out = ["TCSCHED 1", f"length {s.length}"]
-    for a in s.actions:
-        if a.kind == COMPUTE:
-            out.append(f"{a.start_round} {a.node} COMPUTE")
-        elif a.token is None:
-            out.append(f"{a.start_round} {a.node} SEND {a.target}")
+    for r, v, kind, target, token in s.actions:
+        if kind == COMPUTE:
+            out.append(f"{r} {v} COMPUTE")
+        elif token is None:
+            out.append(f"{r} {v} SEND {target}")
         else:
-            out.append(f"{a.start_round} {a.node} SEND {a.target} token={a.token}")
+            out.append(f"{r} {v} SEND {target} token={token}")
     return "\n".join(out) + "\n"
 
 

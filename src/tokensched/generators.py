@@ -8,7 +8,11 @@ from .core import Graph
 
 
 def complete_graph(n: int) -> Graph:
-    return Graph(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
+    """K_n, each vertex's neighbour set built directly as everyone but itself."""
+    if n < 1:
+        return Graph(n, ())  # raises Graph's MalformedInputError
+    everyone = frozenset(range(n))
+    return Graph._from_adjacency(tuple(everyone - {v} for v in range(n)))
 
 
 def path_graph(n: int) -> Graph:

@@ -31,7 +31,6 @@ from tokensched.brute import brute_opt, extract_opt_paths, n_star_table
 from tokensched.cli import cli_dispatch
 from tokensched.complete import (
     build_tree,
-    greedy_completion_round,
     greedy_schedule,
     opt_complete,
     tree_size,
@@ -54,6 +53,8 @@ from tokensched.generators import (
     path_graph,
     star_graph,
 )
+
+from complete_reference import greedy_completion_round
 
 PARAM_GRID_5 = [(1, 1), (2, 1), (1, 2), (3, 1), (1, 3)]
 PARAM_GRID_3 = [(1, 1), (2, 1), (1, 2)]

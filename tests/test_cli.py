@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -208,6 +209,20 @@ def test_mds_cli(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("size ")
+
+
+def test_mds_cli_brute_refuses_gadgets_beyond_its_envelope(tmp_path, capsys):
+    # The 8-node gadget of a 2-node path is past brute_opt's n <= 5 envelope;
+    # the search used to run on regardless, for minutes.
+    graph = tmp_path / "p2.txt"
+    run_cli("gen", "--kind", "path", "--n", "2", "--out", str(graph))
+    capsys.readouterr()
+    start = time.perf_counter()
+    code = run_cli("mds", "--graph", str(graph), "--eps", "1", "--scheduler", "brute",
+                   "--seed", "1", "--quiet")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "exceeds the default search envelope" in capsys.readouterr().err
 
 
 def test_mds_cli_writes_to_out(tmp_path, capsys):

@@ -1,10 +1,12 @@
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from tokensched.core import SEND, Graph, NetworkParams, validate_schedule
 from tokensched.brute import brute_opt
 from tokensched.complete import (
     baseline_lengths,
     build_tree,
     fold,
-    greedy_completion_round,
     greedy_schedule,
     opt_complete,
     prune_tree,
@@ -13,6 +15,8 @@ from tokensched.complete import (
     tree_size,
 )
 from tokensched.generators import complete_graph
+
+from complete_reference import greedy_completion_round, stack_build_tree
 
 P11 = NetworkParams(1, 1)
 P21 = NetworkParams(2, 1)
@@ -68,6 +72,15 @@ def test_build_tree_matches_sizes_and_structure():
                 for u in range(last + 1, tree.size):
                     in_sub[u] = in_sub[parent[u]]
                 assert sum(in_sub) == tree_size(R - tc - tm, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 30))
+def test_build_tree_matches_the_stack_builder(tc, tm, R):
+    p = NetworkParams(tc, tm)
+    tree = build_tree(R, p)
+    assert tree.parent == stack_build_tree(R, p)
+    assert tree.size == tree_size(R, p)
 
 
 def test_tree_ids_are_pinned():

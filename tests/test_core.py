@@ -1,3 +1,5 @@
+import gc
+import pickle
 import time
 
 import pytest
@@ -12,6 +14,7 @@ from tokensched.core import (
     MalformedInputError,
     NetworkParams,
     Schedule,
+    _nogc,
     initial_state,
     lower_bounds,
     replay_events,
@@ -66,6 +69,81 @@ def test_graph_eccentricities_computed_once(monkeypatch):
 
     monkeypatch.setattr(g, "bfs_distances", no_bfs)
     assert (g.radius(), g.diameter()) == (3, 5)
+
+
+def test_complete_graph_equals_graph_over_all_pairs():
+    for n in range(1, 41):
+        want = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+        got = complete_graph(n)
+        assert got == want
+        assert got.adj == want.adj and got.m == want.m
+        assert got.edges == want.edges and hash(got) == hash(want)
+    with pytest.raises(MalformedInputError, match="node count must be >= 1, got 0"):
+        complete_graph(0)
+
+
+def test_nogc_restores_the_callers_setting():
+    seen = []
+
+    @_nogc
+    def inner():
+        seen.append(gc.isenabled())
+
+    @_nogc
+    def outer():
+        inner()
+        seen.append(gc.isenabled())
+
+    assert gc.isenabled()
+    outer()  # nested: the inner pause leaves GC off for the outer one
+    assert seen == [False, False] and gc.isenabled()
+    gc.disable()
+    try:
+        outer()
+        assert not gc.isenabled()  # a caller that turned GC off keeps it off
+    finally:
+        gc.enable()
+
+
+def test_action_is_a_cheap_immutable_record():
+    a = Action(3, 1, SEND, 2, token=5)
+    assert (a.start_round, a.node, a.kind, a.target, a.token) == (3, 1, SEND, 2, 5)
+    assert Action(1, 0, COMPUTE) == Action(1, 0, COMPUTE, None, None)
+    assert repr(a) == "Action(start_round=3, node=1, kind='SEND', target=2, token=5)"
+    assert a == Action(3, 1, SEND, 2, 5) and hash(a) == hash(Action(3, 1, SEND, 2, 5))
+    assert a != Action(3, 1, SEND, 2) and a._replace(token=None) == Action(3, 1, SEND, 2)
+    assert pickle.loads(pickle.dumps(a)) == a
+    assert type(pickle.loads(pickle.dumps(a))) is Action
+    with pytest.raises(AttributeError):
+        a.node = 4
+    # COMPUTE first, then target and token with unset as -1.
+    acts = [Action(2, 0, COMPUTE), Action(1, 1, SEND, 0, 4), Action(1, 1, SEND, 0),
+            Action(1, 1, COMPUTE), Action(1, 0, SEND, 2), Action(1, 0, SEND, 1)]
+    assert [x.sort_key() for x in sorted(acts, key=Action.sort_key)] == [
+        (1, 0, 1, 1, -1), (1, 0, 1, 2, -1), (1, 1, 0, -1, -1),
+        (1, 1, 1, 0, -1), (1, 1, 1, 0, 4), (2, 0, 0, -1, -1),
+    ]
+
+
+def test_action_checks_hold_on_every_way_to_build_one():
+    a = Action(1, 0, SEND, 1)
+    builders = (
+        lambda fields: Action(*fields),
+        Action._make,
+        lambda fields: a._replace(**dict(zip(Action._fields, fields))),
+    )
+    for build in builders:
+        for fields, message in (
+            ((1, 0, "WAIT", None, None), "unknown action kind 'WAIT'"),
+            ((1, 0, SEND, None, None), "SEND needs a target"),
+            ((1, 0, COMPUTE, 1, None), "COMPUTE takes no target or token"),
+            ((1, 0, COMPUTE, None, 2), "COMPUTE takes no target or token"),
+        ):
+            with pytest.raises(MalformedInputError, match=message):
+                build(fields)
+    # Unpickling builds through the constructor too ("WAIT" is as long as "SEND").
+    with pytest.raises(MalformedInputError, match="unknown action kind 'WAIT'"):
+        pickle.loads(pickle.dumps(a).replace(b"SEND", b"WAIT"))
 
 
 def test_params_positive():

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from tokensched.core import Action, MalformedInputError, Schedule
@@ -73,6 +75,21 @@ def test_schedule_header_and_field_errors():
         parse_schedule("TCSCHED 1\nlength 2\n1 0 NAP\n")
     with pytest.raises(MalformedInputError):
         parse_schedule("TCSCHED 1\nlength 2\n1 0 SEND 1 token=x\n")
+
+
+def test_parse_schedule_restores_gc_when_it_raises():
+    bad = "TCSCHED 1\nlength 2\n1 0 SEND 1\n1 0 NAP\n"
+    assert gc.isenabled()
+    with pytest.raises(MalformedInputError):
+        parse_schedule(bad)
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        with pytest.raises(MalformedInputError):
+            parse_schedule(bad)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_empty_schedule_file():
