@@ -15,6 +15,12 @@ maximal; on an asymmetric graph it degenerates to exact states.
 table maps each canonical state to a proven minimum of the rounds it still
 needs.  A state refuted at one horizon is never re-proved at the next, and a
 state seen at an earlier round within one horizon is cut at the later ones.
+
+Most children are cut by that table at once, so a child costs little until it
+is expanded: one recursive enumeration builds each round's action sets in
+place, in one list of records that each action rewrites in one or two entries
+and restores on the way back, and looks each child up in the table before
+recursing into it.
 """
 
 from __future__ import annotations
@@ -41,7 +47,14 @@ DEFAULT_MAX_COST = 3
 
 
 class SearchInfeasibleError(ValueError):
-    """Refusal: the instance is beyond the oracle's default envelope."""
+    """Refusal: the graph is disconnected, or the instance is beyond the
+    oracle's default envelope, which passing `lift` overrides.  `reason` is
+    the message without that advice."""
+
+    def __init__(self, reason: str, lift: str | None = None):
+        super().__init__(reason if lift is None else f"{reason}; pass {lift} to override")
+        self.reason = reason
+        self.lift = lift
 
 
 class NoScheduleWithinLimitError(ValueError):
@@ -82,7 +95,10 @@ class _Search:
 
     Action sets per round are enumerated in lexicographic order of their
     sorted action lists (the empty set first), so the first schedule found is
-    the lexicographically least one of its length.
+    the lexicographically least one of its length.  `_dfs` enumerates them
+    by recursion over the round's candidates, building each child's records
+    in place, and checks each child against the table before expanding it,
+    so a child that is cut costs one call, one tuple and one lookup.
 
     Whether a state can still finish depends on the round only through its
     slack, the rounds left counting the current one, and only monotonically:
@@ -100,7 +116,8 @@ class _Search:
     def __init__(self, g: Graph, p: NetworkParams):
         self.g = g
         self.p = p
-        self.adj_sorted = [sorted(g.adj[v]) for v in range(g.n)]
+        self.merge = [(COMPUTE, v, -1) for v in range(g.n)]
+        self.sends = [tuple((SEND, v, u) for u in sorted(g.adj[v])) for v in range(g.n)]
         self.dist = [g.bfs_distances(v) for v in range(g.n)]
         self.twins = _twin_classes(g)
         self.need = {}  # canonical state -> proven minimum slack
@@ -118,7 +135,7 @@ class _Search:
             return state
         canon = list(state)
         for cls in self.twins:
-            for pos, rec in zip(cls, sorted(state[i] for i in cls)):
+            for pos, rec in zip(cls, sorted(map(state.__getitem__, cls))):
                 canon[pos] = rec
         return tuple(canon)
 
@@ -137,31 +154,20 @@ class _Search:
         )
 
     def _candidates(self, slack: int, state) -> list:
+        """Per node that may act from `state`, in ascending order, the
+        actions it may start: its merge first, then its sends."""
+        merge_fits = self.p.t_c <= slack
+        send_fits = self.p.t_m <= slack
         cands = []
-        t_c, t_m = self.p.t_c, self.p.t_m
         for v, (count, busy, _) in enumerate(state):
-            if busy:
+            if busy or not count:
                 continue
-            if count >= 2 and t_c <= slack:
-                cands.append((COMPUTE, v, -1))
-            if count >= 1 and t_m <= slack:
-                cands.extend((SEND, v, u) for u in self.adj_sorted[v])
+            own = self.sends[v] if send_fits else ()
+            if count >= 2 and merge_fits:
+                own = (self.merge[v],) + own
+            if own:
+                cands.append(own)
         return cands
-
-    @staticmethod
-    def _action_sets(cands):
-        """All per-node-compatible subsets, in lexicographic list order."""
-        stack = [(0, frozenset(), ())]
-        while stack:
-            i, used, chosen = stack.pop()
-            yield chosen
-            ext = []
-            for j in range(i, len(cands)):
-                a = cands[j]
-                if a[1] in used:
-                    continue
-                ext.append((j + 1, used | {a[1]}, chosen + (a,)))
-            stack.extend(reversed(ext))
 
     def _aged(self, state) -> list:
         """The records one round later if no action starts: deliveries due
@@ -173,57 +179,71 @@ class _Search:
             out.append((count + landed, max(0, busy - 1), ticked))
         return out
 
-    def _advance(self, aged: list, acts):
-        """The next state after `acts` start, and how many of them are merges."""
-        t_c, t_m = self.p.t_c, self.p.t_m
-        nxt = list(aged)
-        merges = 0
-        for kind, v, u in acts:
-            count, _, incoming = nxt[v]
-            if kind == COMPUTE:
-                merges += 1
-                nxt[v] = (count - 1, t_c - 1, incoming)
-            else:
-                nxt[v] = (count - 1, t_m - 1, incoming)
-                count, busy, incoming = nxt[u]
-                if t_m == 1:
-                    nxt[u] = (count + 1, busy, incoming)
-                else:
-                    # Every other arrival time is below t_m - 1, so
-                    # appending keeps the tuple sorted.
-                    nxt[u] = (count, busy, incoming + (t_m - 1,))
-        return tuple(nxt), merges
+    def _dfs(self, slack: int, cands, recs: list, i: int, acts: list, total: int):
+        """Actions per round of the least schedule that starts `acts`, and
+        then finishes within `slack` more rounds, or None.
 
-    def _dfs(self, slack: int, state, total: int):
+        `recs` holds the records and `total` the token count of the child
+        that starting `acts` leads to, and `cands` the round's actions per
+        node.  The child is looked up in the table first and expanded only
+        if its `need` allows: a call with its own round's candidates and no
+        actions yet.  Then each extension of `acts` by one action of a node
+        in `cands[i:]` is tried, in lexicographic order; it rewrites the
+        records of its node and target in `recs`, and puts them back once
+        its subtree is done.
+        """
         if total == 1:
-            return []
-        key = self._canon(state)
+            return [tuple(acts)]
+        child = tuple(recs)
+        key = self._canon(child)
         need = self.need.get(key)
         if need is None:
             # Interned records keep the table's keys small.
             intern = self.recs.setdefault
             key = tuple(intern(rec, rec) for rec in key)
-            need = self.need[key] = self._lower_bound(state, total)
-        if need > slack:
-            return None
-        aged = self._aged(state)
-        for acts in self._action_sets(self._candidates(slack, state)):
-            child, merges = self._advance(aged, acts)
-            sub = self._dfs(slack - 1, child, total - merges)
+            need = self.need[key] = self._lower_bound(child, total)
+        if need <= slack:
+            sub = self._dfs(slack - 1, self._candidates(slack, child),
+                            self._aged(child), 0, [], total)
             if sub is not None:
-                return [acts] + sub
-        self.need[key] = slack + 1
+                return [tuple(acts)] + sub
+            self.need[key] = slack + 1
+        for k in range(i, len(cands)):
+            for act in cands[k]:
+                _, v, u = act
+                acts.append(act)
+                at_v = count, _, incoming = recs[v]
+                if u < 0:
+                    recs[v] = (count - 1, self.p.t_c - 1, incoming)
+                    found = self._dfs(slack, cands, recs, k + 1, acts, total - 1)
+                else:
+                    recs[v] = (count - 1, self.p.t_m - 1, incoming)
+                    at_u = count, busy, incoming = recs[u]
+                    if self.p.t_m == 1:
+                        recs[u] = (count + 1, busy, incoming)
+                    else:
+                        # Every other arrival time is below t_m - 1, so
+                        # appending keeps the tuple sorted.
+                        recs[u] = (count, busy, incoming + (self.p.t_m - 1,))
+                    found = self._dfs(slack, cands, recs, k + 1, acts, total)
+                    recs[u] = at_u
+                recs[v] = at_v
+                acts.pop()
+                if found is not None:
+                    return found
         return None
 
     def run(self, horizon: int):
         """Actions of the lexicographically least schedule finishing within
         `horizon` rounds, or None if there is none."""
-        init = tuple((1, 0, ()) for _ in range(self.g.n))
-        per_round = self._dfs(horizon, init, self.g.n)
+        init = [(1, 0, ())] * self.g.n
+        # The start state is the child of an empty round 0 with no
+        # candidates, so it gets the table check every child gets.
+        per_round = self._dfs(horizon, (), init, 0, [], self.g.n)
         if per_round is None:
             return None
         actions = []
-        for r, acts in enumerate(per_round, start=1):
+        for r, acts in enumerate(per_round[1:], start=1):
             for kind, v, u in acts:
                 if kind == COMPUTE:
                     actions.append(Action(r, v, COMPUTE))
@@ -264,18 +284,17 @@ def brute_opt(g: Graph, p: NetworkParams, limit: int | None = None,
     if not force:
         if g.n > DEFAULT_MAX_NODES:
             raise SearchInfeasibleError(
-                f"n={g.n} exceeds the default search envelope (n <= {DEFAULT_MAX_NODES}); "
-                "pass force=True to override"
+                f"n={g.n} exceeds the default search envelope (n <= {DEFAULT_MAX_NODES})",
+                "force=True",
             )
         if max(p.t_c, p.t_m) > DEFAULT_MAX_COST:
             raise SearchInfeasibleError(
-                f"costs {p} exceed the default search envelope (<= {DEFAULT_MAX_COST}); "
-                "pass force=True to override"
+                f"costs {p} exceed the default search envelope (<= {DEFAULT_MAX_COST})",
+                "force=True",
             )
         if limit > tub:
             raise SearchInfeasibleError(
-                f"limit {limit} exceeds the trivial upper bound {tub}; "
-                "pass force=True to override"
+                f"limit {limit} exceeds the trivial upper bound {tub}", "force=True"
             )
     search = _Search(g, p)
     for L in range(lower_bounds(g, p)[2], limit + 1):

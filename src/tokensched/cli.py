@@ -15,7 +15,7 @@ import sys
 import time
 
 from .approx import IterationStats, solve_tc
-from .brute import NoScheduleWithinLimitError, SearchInfeasibleError, brute_opt
+from .brute import DEFAULT_MAX_NODES, NoScheduleWithinLimitError, SearchInfeasibleError, brute_opt
 from .complete import baseline_lengths, build_tree, opt_complete, r_star
 from .core import (
     DisconnectedGraphError,
@@ -125,7 +125,12 @@ def _cmd_brute(args) -> int:
     started = time.perf_counter()
     p = _params(args)
     g = read_graph(args.graph)
-    res = brute_opt(g, p, limit=args.limit, force=args.force)
+    try:
+        res = brute_opt(g, p, limit=args.limit, force=args.force)
+    except SearchInfeasibleError as e:
+        if e.lift is None:
+            raise
+        raise SearchInfeasibleError(e.reason, "--force") from None
     print(f"opt_length {res.opt_length}")
     print(f"max_singleton_distance {res.max_singleton_distance}")
     if args.out:
@@ -211,6 +216,9 @@ def _cmd_mds(args) -> int:
                 return brute_opt(gg, pp, limit=3 * pp.t_m - 1).schedule
             except NoScheduleWithinLimitError:
                 return None
+            except SearchInfeasibleError as e:
+                # mds has no option that lifts the envelope.
+                raise SearchInfeasibleError(e.reason) from None
     else:
         def scheduler(gg, pp):
             return solve_tc(gg, pp, seed)
@@ -317,7 +325,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps", type=float, required=True)
     sp.add_argument("--scheduler", choices=["brute", "approx"], required=True,
                     help="brute fits only gadgets within brute_opt's search "
-                         "envelope and otherwise exits 2")
+                         f"envelope (n <= {DEFAULT_MAX_NODES}) and otherwise exits 2; "
+                         "every gadget of a connected graph with 2 or more nodes "
+                         "exceeds it")
     common(sp, seed=True)
     sp.set_defaults(func=_cmd_mds)
 

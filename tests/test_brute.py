@@ -1,5 +1,10 @@
+import gc
+import hashlib
+import weakref
+
 import pytest
 
+from tokensched import brute
 from tokensched.core import (
     Graph,
     NetworkParams,
@@ -18,9 +23,11 @@ from tokensched.brute import (
     _twin_classes,
 )
 from tokensched.complete import r_star, tree_size
+from tokensched.files import format_schedule
 from tokensched.generators import (
     complete_graph,
     cycle_graph,
+    gnp_connected,
     grid_graph,
     path_graph,
     star_graph,
@@ -69,6 +76,58 @@ def test_oracle_guards():
         brute_opt(Graph(3, [(0, 1)]), P11)
     # force=True lifts the envelope
     assert brute_opt(complete_graph(3), P11, limit=100, force=True).opt_length == 3
+
+
+def test_oracle_schedules_are_pinned():
+    # The benchmark's oracle shapes at their cost pairs, and three seeded
+    # 5-node samples.  The hash is of the schedules the search returned
+    # before it built its children in place; any change to the search order
+    # or to what the table cuts shows here.
+    insts = [
+        (g, NetworkParams(tc, tm))
+        for g in (path_graph(6), grid_graph(2, 3), complete_graph(5), cycle_graph(5))
+        for tc, tm in [(1, 1), (2, 1), (1, 2)]
+    ] + [
+        (gnp_connected(5, 0.5, seed), NetworkParams(tc, tm))
+        for seed in (1, 2, 3)
+        for tc, tm in [(1, 1), (2, 1)]
+    ]
+    h = hashlib.sha256()
+    for g, p in insts:
+        h.update(format_schedule(brute_opt(g, p, force=True).schedule).encode())
+    assert h.hexdigest() == (
+        "11989d8543b5354e37d1cc13e432f7a7234e828cf753c14dc7b2b643aba56cab"
+    )
+
+
+class _Table(dict):
+    """A dict that can be referenced weakly."""
+
+
+def test_search_and_its_table_are_freed_on_return(monkeypatch):
+    # With the cyclic collector off, only reference counting frees anything.
+    # A reference cycle through the search would keep it and its whole
+    # table alive until the collector next ran.
+    refs = []
+
+    class Tracked(brute._Search):
+        def __init__(self, g, p):
+            super().__init__(g, p)
+            self.need = _Table()
+            refs.append((weakref.ref(self), weakref.ref(self.need)))
+
+    monkeypatch.setattr(brute, "_Search", Tracked)
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert brute_opt(grid_graph(2, 3), NetworkParams(1, 2), force=True).opt_length == 6
+        assert len(refs) == 1
+        search, table = refs[0]
+        assert search() is None and table() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_no_schedule_within_limit():

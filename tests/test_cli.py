@@ -156,6 +156,17 @@ def test_brute_cli(tmp_path, capsys):
                              NetworkParams(1, 1), sched).valid
 
 
+def test_brute_cli_refusal_names_its_flag(tmp_path, capsys):
+    graph = tmp_path / "p6.txt"
+    run_cli("gen", "--kind", "path", "--n", "6", "--out", str(graph))
+    capsys.readouterr()
+    assert run_cli("brute", "--graph", str(graph), "--tc", "1", "--tm", "1",
+                   "--quiet") == 2
+    err = capsys.readouterr().err
+    assert "exceeds the default search envelope" in err
+    assert "pass --force to override" in err and "force=True" not in err
+
+
 def test_approx_cli_with_report(tmp_path):
     graph = tmp_path / "g.txt"
     run_cli("gen", "--kind", "gnp", "--n", "15", "--p", "0.3", "--seed", "3",
@@ -222,7 +233,10 @@ def test_mds_cli_brute_refuses_gadgets_beyond_its_envelope(tmp_path, capsys):
                    "--seed", "1", "--quiet")
     assert time.perf_counter() - start < 1.0
     assert code == 2
-    assert "exceeds the default search envelope" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "exceeds the default search envelope" in err
+    # mds has no option that lifts the envelope, so the refusal names none.
+    assert "force=True" not in err and "--force" not in err
 
 
 def test_mds_cli_writes_to_out(tmp_path, capsys):

@@ -4,7 +4,8 @@ plain round-by-round reference replay, and every output repeats exactly, on
 scheduler outputs and one-action mutations of them.  On graphs small enough
 for the oracle, the lower bound, the oracle and solve_tc come in that order,
 and the oracle's search finds the same at every horizon whether or not it
-carries its table over from the horizons before.  Greedy aggregation on a
+carries its table over from the horizons before, and the same as the
+reference search in `brute_reference.py`.  Greedy aggregation on a
 labelled tree from any valid starting holdings ends with one token at the
 root.  Distances and domination agree with networkx.
 """
@@ -15,6 +16,7 @@ import networkx as nx
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from brute_reference import ReferenceSearch
 from tokensched.approx import solve_tc
 from tokensched.brute import _Search, brute_opt
 from tokensched.complete import build_tree, opt_complete, prune_tree, r_star, tree_schedule
@@ -33,7 +35,9 @@ from tokensched.core import (
     validate_schedule,
 )
 
-BRUTE_MAX_NODES = 5  # brute_opt takes up to seconds per call on 6-node graphs
+# brute_opt takes 0.27 s on the median 6-node graph and up to 11 s (30 random
+# draws at costs <= 3, 2-core VM), so the oracle strategies stop at 5 nodes.
+BRUTE_MAX_NODES = 5
 
 
 def connected_graph(draw, n: int, spanning=None) -> Graph:
@@ -206,9 +210,10 @@ def test_lower_bound_oracle_and_solve_tc_in_order(inst, seed):
     assert lower_bounds(g, p)[2] <= opt <= solve_tc(g, p, seed=seed).length
 
 
-# Fresh searches re-prove every horizon below OPT, up to seconds per example
-# at n = 5 and t_m = 3, so this runs fewer examples.
-@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+# Fresh searches re-prove every horizon below OPT: on 5-node graphs at
+# t_m = 3 an example takes 0.16 s at the median and up to 1.8 s (60 random
+# draws, 2-core VM).
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(oracle_instances(max_n=5))
 def test_search_table_is_sound_across_horizons(inst):
     """One search run at L = lb, lb + 1, ..., OPT finds what a fresh search
@@ -220,6 +225,26 @@ def test_search_table_is_sound_across_horizons(inst):
         fresh = _Search(g, p).run(L)
         assert shared.run(L) == fresh
         if fresh is not None:
+            break
+        L += 1
+
+
+# The reference search runs at the speed the search had before it built its
+# children in place, up to seconds per example at n = 5 and t_m = 3, so this
+# runs fewer examples.
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(oracle_instances())
+def test_search_matches_the_reference_search(inst):
+    """The search finds what the reference search finds at every horizon
+    from the lower bound to OPT, each keeping its table across horizons as
+    brute_opt does."""
+    g, p = inst
+    search, reference = _Search(g, p), ReferenceSearch(g, p)
+    L = lower_bounds(g, p)[2]
+    while True:
+        found = search.run(L)
+        assert found == reference.run(L)
+        if found is not None:
             break
         L += 1
 
