@@ -3,8 +3,9 @@
 Shows the stages one at a time on a random connected graph: the congestion
 flow over the time-expanded graph (certified optimal, or solved as an LP),
 random-walk path sampling, path direction,
-and a route-and-compute round; then runs the full solver and prints its
-per-iteration report.
+and a route-and-compute round; then runs the full solver, which ends with
+a left shift of its concatenated fragments, and prints its per-iteration
+report and the rounds the shift saved.
 """
 
 from tokensched import (
@@ -50,7 +51,7 @@ print(f"  sinks:   {dp.sinks}")
 
 print()
 print("== Stage 4: one route-and-compute round (merge-on-collision) ==")
-frag = route_paths_c(g, p, dp, holdings=initial_state(g))
+frag = route_paths_c(g, p, dp, counts=[1] * g.n)
 after = simulate(g, p, frag, start=initial_state(g))[-1]
 print(f"  fragment of {frag.length} rounds; tokens {g.n} -> {after.total_tokens()}")
 
@@ -58,7 +59,10 @@ print()
 print("== The full solver ==")
 rows = []
 sched = solve_tc(g, p, seed=7, report=rows)
-print(f"  length {sched.length}, valid={validate_schedule(g, p, sched).valid}")
+assembled = sum(r.fragment_rounds for r in rows)
+print(f"  length {sched.length} ({assembled} concatenated, left-shifted by core.left_shift), "
+      f"valid={validate_schedule(g, p, sched).valid}")
+print("  sends name no token: the shift moves each node's oldest one")
 print(f"  lower bound {lower_bounds(g, p)[2]}, naive upper bound {trivial_upper_bound(g, p)}")
 print("  iter holders   L      z con dil src rounds router flow")
 for r in rows:

@@ -22,6 +22,7 @@ from .core import (
     Schedule,
     TokenState,
     ValidationReport,
+    left_shift,
     lower_bounds,
     simulate,
     trivial_upper_bound,
@@ -55,6 +56,7 @@ __all__ = [
     "ds_from_schedule",
     "extract_opt_paths",
     "greedy_schedule",
+    "left_shift",
     "lower_bounds",
     "mds_apx",
     "n_star_table",

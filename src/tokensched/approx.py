@@ -20,6 +20,10 @@ node per step of t_m rounds; merge-on-collision stops forwarding at the first
 step where nothing moves.  The last few holders are aggregated greedily on a
 shortest-path tree.
 
+The loop keeps one token count per node and ends with a left shift
+(core.left_shift) of its concatenated fragments, so solve_tc's SENDs are
+unnamed; the shifted schedule is validated before it is returned.
+
 All randomness flows from one 64-bit seed through named spawn keys, so runs
 are reproducible action-for-action.
 """
@@ -42,10 +46,8 @@ from .core import (
     Graph,
     NetworkParams,
     Schedule,
-    TokenState,
     ceil_log2,
-    initial_state,
-    replay_events,
+    left_shift,
     simulate,  # noqa: F401  (bench/test_bench.py checks tracing restores approx.simulate)
     trivial_upper_bound,
     validate_schedule,
@@ -481,8 +483,7 @@ def assign_paths(paths, W) -> DirectedPathSet:
     return ps
 
 
-def opt_route(g: Graph, p: NetworkParams, dp: DirectedPathSet, seed: int,
-              token_ids: dict | None = None) -> Schedule:
+def opt_route(g: Graph, p: NetworkParams, dp: DirectedPathSet, seed: int) -> Schedule:
     """Send every source token to its sink along its path (SENDs only).
 
     Routing runs in lock step: step k starts at round 1 + k * t_m, and a
@@ -491,11 +492,11 @@ def opt_route(g: Graph, p: NetworkParams, dp: DirectedPathSet, seed: int,
     node with a ready packet sends the one that became ready first (ties to
     the earlier queued), and receiving is free.  If the makespan exceeds
     8 * (con + dil) * ceil(log2(n + 2)) steps the delays are redrawn, up to
-    ROUTE_ATTEMPTS times, keeping the best run.
+    ROUTE_ATTEMPTS times, keeping the best run.  Each SEND names its packet
+    by the path's source, as when every source starts with its own
+    singleton; solve_tc's left shift drops the names.
     """
     dp.check_endpoints()
-    if token_ids is None:
-        token_ids = {src: src for src in dp.sources}
     con, dil = dp.con, dp.dil
     cutoff = 8 * (con + dil) * ceil_log2(g.n + 2) * p.t_m
     best = None  # (makespan, actions)
@@ -506,7 +507,7 @@ def opt_route(g: Graph, p: NetworkParams, dp: DirectedPathSet, seed: int,
         delays = {
             path: int(rng.integers(0, max(con, 1))) for path in dp.paths
         }
-        actions, makespan = _route_once(p, dp, delays, token_ids)
+        actions, makespan = _route_once(p, dp, delays)
         if best is None or makespan < best[0]:
             best = (makespan, actions)
         if best[0] <= cutoff:
@@ -515,7 +516,7 @@ def opt_route(g: Graph, p: NetworkParams, dp: DirectedPathSet, seed: int,
     return Schedule(makespan, actions)
 
 
-def _route_once(p, dp, delays, token_ids):
+def _route_once(p, dp, delays):
     """One lock-step run; returns the actions and the last occupied round."""
     queues = {}  # node -> heap of (ready step, seq, path, position on it)
     for seq, path in enumerate(dp.paths):
@@ -533,7 +534,7 @@ def _route_once(p, dp, delays, token_ids):
             if not queue:
                 del queues[u]
             nxt = path[at + 1]
-            actions.append(Action(r, u, SEND, nxt, token_ids[path[0]]))
+            actions.append(Action(r, u, SEND, nxt, path[0]))
             if at + 2 < len(path):
                 heappush(queues.setdefault(nxt, []), (step + 1, seq, path, at + 1))
                 seq += 1
@@ -541,46 +542,46 @@ def _route_once(p, dp, delays, token_ids):
     return tuple(actions), step * p.t_m
 
 
-def route_paths_m(g: Graph, p: NetworkParams, dp: DirectedPathSet, seed: int,
-                  token_ids: dict | None = None) -> Schedule:
+def route_paths_m(g: Graph, p: NetworkParams, dp: DirectedPathSet, seed: int) -> Schedule:
     """Route all source tokens to their sinks, then merge once at every sink.
 
     The merge-last strategy for t_c > t_m: sinks stay idle until routing has
     finished, then each sink folds its arrived token into its own, cutting
     the token count by exactly the number of paths.
     """
-    routed = opt_route(g, p, dp, seed, token_ids)
+    routed = opt_route(g, p, dp, seed)
     compute_round = routed.length + 1
     computes = tuple(Action(compute_round, s, COMPUTE) for s in sorted(dp.sinks))
     return Schedule(routed.length + p.t_c, routed.actions + computes)
 
 
 def route_paths_c(g: Graph, p: NetworkParams, dp: DirectedPathSet,
-                  holdings: TokenState | None = None) -> Schedule:
+                  counts: list | None = None) -> Schedule:
     """Forward tokens with merge-on-collision, for t_c <= t_m.
 
-    Forwarding runs in lock step: step k starts at round 1 + k * t_m.  At
-    each step every node other than a sink that holds exactly one token,
-    a routed one with path still to walk, forwards it; everything sent lands
-    before the next step.  A node that holds two or more tokens keeps them
-    and keeps what arrives.  Forwarding ends at the first step where nothing
-    moves (at most dil steps), and in the next round every node starts
-    merging its pile down to one token (at most con * t_c more rounds).
-    At least half the source tokens get merged.
+    counts[v] is node v's token count, by default one token at every source
+    and sink.  Forwarding runs in lock step: step k starts at round
+    1 + k * t_m.  At each step every node other than a sink that holds
+    exactly one token, a routed one with path still to walk, forwards it;
+    everything sent lands before the next step.  A forwarder holds only the
+    token it forwards, so its SEND is unnamed.  A node that holds two or
+    more tokens keeps them and keeps what arrives.  Forwarding ends at the
+    first step where nothing moves (at most dil steps), and in the next
+    round every node starts merging its pile down to one token (at most
+    con * t_c more rounds).  At least half the source tokens get merged.
     """
     dp.check_endpoints()
-    if holdings is None:
+    if counts is None:
         holders = set(dp.sources) | set(dp.sinks)
-        holdings = TokenState(
-            tuple((frozenset([v]),) if v in holders else () for v in range(g.n))
-        )
-    piles = {v: [min(t) for t in holdings.tokens_at(v)] for v in range(g.n)}
-    moving = {}  # node -> (token id, path, position) it forwards this step
+        counts = [int(v in holders) for v in range(g.n)]
+    piles = list(counts)
+    moving = {}  # node -> (path, position) it forwards this step
     for path in dp.paths:
         src = path[0]
-        if len(piles[src]) != 1:
+        if piles[src] != 1:
             raise ValueError(f"source {src} must hold exactly one token")
-        moving[src] = (piles[src].pop(), path, 0)
+        piles[src] = 0
+        moving[src] = (path, 0)
     sinks = set(dp.sinks)
     actions = []
     steps = 0
@@ -589,33 +590,33 @@ def route_paths_c(g: Graph, p: NetworkParams, dp: DirectedPathSet,
         steps += 1
         landed = {}
         for v in sorted(moving):
-            tok, path, at = moving[v]
-            actions.append(Action(r, v, SEND, path[at + 1], tok))
-            landed.setdefault(path[at + 1], []).append((tok, path, at + 1))
+            path, at = moving[v]
+            actions.append(Action(r, v, SEND, path[at + 1]))
+            landed.setdefault(path[at + 1], []).append((path, at + 1))
         moving = {}
         for v, arrived in landed.items():
             if v not in sinks and not piles[v] and len(arrived) == 1:
                 moving[v] = arrived[0]
             else:
-                piles[v].extend(tok for tok, _, _ in arrived)
+                piles[v] += len(arrived)
     merge_start = steps * p.t_m + 1
     merge_rounds = 0
     for v in range(g.n):
-        k = len(piles[v])
+        k = piles[v]
         for i in range(k - 1):
             actions.append(Action(merge_start + i * p.t_c, v, COMPUTE))
         merge_rounds = max(merge_rounds, (k - 1) * p.t_c)
     return Schedule(steps * p.t_m + merge_rounds, tuple(actions))
 
 
-def _fallback_pairing(g: Graph, p: NetworkParams, state: TokenState) -> Schedule:
-    """Deterministic endgame: greedy aggregation (complete.tree_schedule)
-    down to a single token, on the shortest-path tree spanning the
-    holders.  Its root has the smallest maximum hop distance to the holders,
-    lowest id on ties; each node's parent is its lowest-id neighbour one hop
-    closer to the root.  The declared length is the last occupied round."""
-    tokens = [len(state.tokens_at(v)) for v in range(g.n)]
-    holders = [v for v in range(g.n) if tokens[v]]
+def _fallback_pairing(g: Graph, p: NetworkParams, counts: list) -> Schedule:
+    """Deterministic endgame from counts[v] tokens at each node v: greedy
+    aggregation (complete.tree_schedule) down to a single token, on the
+    shortest-path tree spanning the holders.  Its root has the smallest
+    maximum hop distance to the holders, lowest id on ties; each node's
+    parent is its lowest-id neighbour one hop closer to the root.  The
+    declared length is the last occupied round."""
+    holders = [v for v in range(g.n) if counts[v]]
     far = [max(col) for col in zip(*(g.bfs_distances(h) for h in holders))]
     root = far.index(min(far))
     dist = g.bfs_distances(root)
@@ -624,7 +625,7 @@ def _fallback_pairing(g: Graph, p: NetworkParams, state: TokenState) -> Schedule
         while v != root and parent[v] < 0:
             parent[v] = min(u for u in g.adj[v] if dist[u] == dist[v] - 1)
             v = parent[v]
-    actions, last = tree_schedule(parent, tokens, p)
+    actions, last = tree_schedule(parent, counts, p)
     return Schedule(last, actions)
 
 
@@ -648,10 +649,12 @@ def solve_tc(g: Graph, p: NetworkParams, seed: int, report: list | None = None) 
 
     Deterministic for fixed (graph, params, seed).  Finishes with greedy
     aggregation (complete.tree_schedule) on a shortest-path tree once at most
-    FALLBACK_W holders remain or an iteration yields no usable paths.  Raises
-    DisconnectedGraphError on a disconnected graph, and IterationCapError
-    after 24 * ceil(log2 n) + 8 iterations (which indicates a bug, not bad
-    luck).
+    FALLBACK_W holders remain or an iteration yields no usable paths.  The
+    concatenated fragments are left-shifted (core.left_shift), so the length
+    is the last occupied round and report rows' fragment_rounds may sum to
+    more.  Raises DisconnectedGraphError on a disconnected graph, and
+    IterationCapError after 24 * ceil(log2 n) + 8 iterations (which
+    indicates a bug, not bad luck).
     """
     if not g.is_connected():
         raise DisconnectedGraphError(
@@ -659,25 +662,27 @@ def solve_tc(g: Graph, p: NetworkParams, seed: int, report: list | None = None) 
         )
     if g.n == 1:
         return Schedule(0)
-    state = initial_state(g)
-    fragments = []
+    counts = [1] * g.n
+    actions = []
     offset = 0
     cap = 24 * ceil_log2(g.n) + 8
 
     def append(frag: Schedule, stats_prefix, router, flow="-"):
-        nonlocal state, offset
+        nonlocal offset
         if frag.actions:
-            shifted = frag.shifted(offset)
-            state = replay_events(g, p, shifted, start=state)[0]
-            fragments.append(shifted)
+            for a in frag.actions:
+                counts[a.node] -= 1  # a merge's second operand, or a send's token
+                if a.kind == SEND:
+                    counts[a.target] += 1
+                actions.append(a._replace(start_round=a.start_round + offset))
             if report is not None:
                 report.append(IterationStats(*stats_prefix, frag.length, router, flow))
             offset += frag.length
 
     iteration = 0
     while True:
-        holders = [v for v in range(g.n) if state.tokens_at(v)]
-        if sum(len(state.tokens_at(v)) for v in range(g.n)) == 1:
+        holders = [v for v in range(g.n) if counts[v]]
+        if sum(counts) == 1:
             break
         if iteration >= cap:
             raise IterationCapError(
@@ -685,7 +690,7 @@ def solve_tc(g: Graph, p: NetworkParams, seed: int, report: list | None = None) 
             )
         iteration += 1
         if len(holders) <= FALLBACK_W:
-            frag = _fallback_pairing(g, p, state)
+            frag = _fallback_pairing(g, p, counts)
             append(frag, (iteration, len(holders), 0, 0.0, 0, 0, len(holders) - 1), "fallback")
             continue
         W = holders if len(holders) % 2 == 0 else holders[:-1]
@@ -693,21 +698,19 @@ def solve_tc(g: Graph, p: NetworkParams, seed: int, report: list | None = None) 
         paths = sample_paths(flow, L, W, _iter_seed(seed, iteration))
         dp = assign_paths(paths, W) if paths else DirectedPathSet(())
         if len(dp) == 0:
-            frag = _fallback_pairing(g, p, state)
+            frag = _fallback_pairing(g, p, counts)
             append(frag, (iteration, len(holders), L, flow.z, 0, 0, len(holders) - 1), "fallback")
             continue
-        token_ids = {src: min(state.tokens_at(src)[0]) for src in dp.sources}
         if p.t_c > p.t_m:
-            frag = route_paths_m(g, p, dp, _iter_seed(seed, iteration), token_ids)
+            frag = route_paths_m(g, p, dp, _iter_seed(seed, iteration))
             router = "m"
         else:
-            frag = route_paths_c(g, p, dp, holdings=state)
+            frag = route_paths_c(g, p, dp, counts)
             router = "c"
         append(frag, (iteration, len(holders), L, flow.z, dp.con, dp.dil, len(dp)),
                router, flow.method)
 
-    actions = tuple(a for frag in fragments for a in frag.actions)
-    sched = Schedule(offset, actions)
+    sched = left_shift(g, p, Schedule(offset, actions))
     final = validate_schedule(g, p, sched)
     if not final.valid:
         raise RuntimeError(f"assembled schedule is invalid: {final.violation}")

@@ -25,7 +25,7 @@ from .core import (
     NetworkParams,
     ceil_log2,
     lower_bounds,
-    simulate,
+    state_changes,
     validate_schedule,
 )
 from .domset import mds_apx, psi_transform
@@ -150,7 +150,8 @@ def _cmd_approx(args) -> int:
     if args.report:
         lines = [
             f"# seed={seed} t_c={p.t_c} t_m={p.t_m} samples=ceil(4*log2(n))+1 "
-            f"iteration_cap=24*ceil(log2(n))+8",
+            f"iteration_cap=24*ceil(log2(n))+8 "
+            f"assembled={sum(r.fragment_rounds for r in rows)} length={sched.length}",
             "iter,holders,L,z,con,dil,sources,fragment_rounds,router,flow",
         ]
         for r in rows:
@@ -181,9 +182,8 @@ def _cmd_simulate(args) -> int:
     p = _params(args)
     g = read_graph(args.graph)
     s = read_schedule(args.schedule)
-    trace = simulate(g, p, s)
     lines = []
-    for r, state in enumerate(trace):
+    for r, state in state_changes(g, p, s):
         holders = " ".join(
             f"{v}:{{{','.join(str(x) for x in sorted(tok))}}}"
             for v in range(g.n)
@@ -305,7 +305,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.set_defaults(func=_cmd_validate)
 
-    sp = sub.add_parser("simulate", help="print the token trace of a schedule")
+    sp = sub.add_parser("simulate", help="print the token trace of a schedule: round 0, "
+                        "then each round after which the holdings changed")
     sp.add_argument("--graph", required=True)
     sp.add_argument("--schedule", required=True)
     costs(sp)

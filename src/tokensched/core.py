@@ -13,6 +13,7 @@ import gc
 from collections import deque, namedtuple
 from dataclasses import dataclass
 from functools import cached_property, wraps
+from heapq import heappop, heappush
 
 SEND = "SEND"
 COMPUTE = "COMPUTE"
@@ -226,11 +227,6 @@ class Schedule:
             self, "actions", tuple(sorted(self.actions, key=Action.sort_key))
         )
 
-    def shifted(self, offset: int) -> "Schedule":
-        """Same actions delayed by `offset` rounds."""
-        moved = tuple(a._replace(start_round=a.start_round + offset) for a in self.actions)
-        return Schedule(self.length + offset, moved)
-
     def last_occupied_round(self, p: NetworkParams) -> int:
         return max(
             (a.start_round + p.duration(a.kind) - 1 for a in self.actions), default=0
@@ -426,11 +422,21 @@ def simulate(g: Graph, p: NetworkParams, s: Schedule,
     Full aggregation is not required; callers inspect the final state.
     Boundaries where nothing landed share one TokenState object.
     """
-    states = _Replay(g, p, s, start, record_states=True).states
+    changes = state_changes(g, p, s, start)
     trace = []
-    for (_, state), (landed, _) in zip(states, states[1:] + [(s.length + 2, None)]):
-        trace.extend([state] * (landed - 1 - len(trace)))
+    for (r, state), (after, _) in zip(changes, changes[1:] + [(s.length + 1, None)]):
+        trace.extend([state] * (after - r))
     return trace
+
+
+def state_changes(g: Graph, p: NetworkParams, s: Schedule,
+                  start: TokenState | None = None) -> list:
+    """The sparse form of simulate: [(r, TokenState after round r)] for
+    r = 0 and then for every round after which the holdings changed.  Costs
+    O(A) in the number of actions A, whatever the declared length; raises
+    as simulate does."""
+    states = _Replay(g, p, s, start, record_states=True).states
+    return [(landed - 1, state) for landed, state in states]
 
 
 def replay_events(g: Graph, p: NetworkParams, s: Schedule,
@@ -476,6 +482,57 @@ def validate_schedule(g: Graph, p: NetworkParams, s: Schedule,
             final,
         )
     return ValidationReport(True, None, 1)
+
+
+def left_shift(g: Graph, p: NetworkParams, s: Schedule,
+               start: TokenState | None = None) -> Schedule:
+    """s with every action started as early as token counts allow.
+
+    Each node keeps its actions in their order, and SENDs lose their token
+    names (an unnamed SEND moves the oldest token).  Every action starts at
+    the first round at which its node is free and holds a token for a SEND,
+    two for a COMPUTE; effects landing at a round count before that round's
+    starts.  The declared length becomes the last occupied round.
+
+    Validity then rests on counts alone.  A node's k-th action waits only on
+    its own earlier actions and on arrivals, and by induction every arrival
+    comes no later than in s.  So when s is valid from `start` up to token
+    names, the result is valid and no longer.  Costs O(A log A) in the
+    number of actions A.  Raises ValueError when an action can never start.
+    """
+    held = [1] * g.n if start is None else list(start.counts())
+    todo = [deque() for _ in range(g.n)]
+    for a in s.actions:  # canonical order: each node's actions by start round
+        todo[a.node].append(a)
+    waiting = [False] * g.n  # the next action waits for an arrival
+    events = [(1, 1, v) for v in range(g.n) if todo[v]]  # (round, 0 lands / 1 starts, node)
+    actions = []
+    last = 0
+    while events:
+        r, starts, v = heappop(events)
+        if not starts:
+            held[v] += 1
+            if waiting[v]:
+                waiting[v] = False
+                heappush(events, (r, 1, v))
+            continue
+        _, _, kind, target, _ = todo[v][0]
+        if held[v] < (1 if kind == SEND else 2):
+            waiting[v] = True
+            continue
+        todo[v].popleft()
+        held[v] -= 1  # a send's token, or a merge's second operand
+        dur = p.duration(kind)
+        actions.append(Action(r, v, kind, target))
+        last = max(last, r + dur - 1)
+        if kind == SEND:
+            heappush(events, (r + dur, 0, target))
+        if todo[v]:
+            heappush(events, (r + dur, 1, v))
+    stuck = next((v for v in range(g.n) if todo[v]), None)
+    if stuck is not None:
+        raise ValueError(f"node {stuck} never holds the tokens for {todo[stuck][0]}")
+    return Schedule(last, actions)
 
 
 def ceil_log2(n: int) -> int:

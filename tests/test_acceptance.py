@@ -171,8 +171,8 @@ def test_criterion_7_solver_validity_and_quality():
         ratios.append(s.length / clb)
         assert s.length <= 8 * tub, (i, n, p)
     med = statistics.median(ratios)
-    assert med <= 2.5, med
-    _ok(7, f"50/50 solver outputs valid; median length/lower-bound {med:.2f} <= 2.5")
+    assert med <= 2.0, med
+    _ok(7, f"50/50 solver outputs valid; median length/lower-bound {med:.2f} <= 2.0")
 
 
 def test_criterion_8_sampling_statistics():

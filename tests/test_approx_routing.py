@@ -3,6 +3,7 @@ import numpy as np
 from tokensched.core import (
     Graph,
     NetworkParams,
+    Schedule,
     TokenState,
     simulate,
 )
@@ -168,9 +169,30 @@ def _random_instance(rng, seed):
     return g, dp
 
 
-def test_routers_emit_sends_with_token_names():
-    g = star_graph(5)
-    dp = DirectedPathSet(((1, 0, 2), (3, 0, 4)))
-    frag = route_paths_c(g, P11, dp)
-    sends = [a for a in frag.actions if a.kind == "SEND"]
-    assert sends and all(a.token is not None for a in sends)
+def test_route_c_forwarders_hold_only_the_token_they_send():
+    # route_paths_c names no token: an unnamed send moves the oldest token,
+    # and every forwarder holds exactly one, so naming each send by that
+    # token gives the same final state.
+    rng = np.random.default_rng(29)
+    # On the second graph two tokens collide at node 0 and stay there; the
+    # third reaches node 0 a step later and stays as well.
+    pile = Graph(8, [(0, 1), (0, 2), (0, 3), (0, 4), (5, 6), (6, 0), (0, 7)])
+    cases = [(star_graph(5), DirectedPathSet(((1, 0, 2), (3, 0, 4)))),
+             (pile, DirectedPathSet(((1, 0, 2), (3, 0, 4), (5, 6, 0, 7))))]
+    for trial in range(25):
+        g, dp = _random_instance(rng, seed=1300 + trial)
+        if dp is not None:
+            cases.append((g, dp))
+    for g, dp in cases:
+        start = synthetic_state(g, dp)
+        for p in (P11, NetworkParams(1, 2)):
+            frag = route_paths_c(g, p, dp)
+            trace = simulate(g, p, frag, start=start)
+            named = []
+            for a in frag.actions:
+                if a.kind == "SEND":
+                    assert a.token is None
+                    (held,) = trace[a.start_round - 1].tokens_at(a.node)
+                    a = a._replace(token=min(held))
+                named.append(a)
+            assert simulate(g, p, Schedule(frag.length, named), start=start)[-1] == trace[-1]

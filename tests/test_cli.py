@@ -184,6 +184,12 @@ def test_approx_cli_with_report(tmp_path):
     assert len(lines) >= 3
     flows = [line.rsplit(",", 1)[1] for line in lines[2:]]
     assert flows[0] == "certified" and set(flows) <= {"certified", "lp", "-"}
+    # The comment line gives the rounds of the concatenated fragments and
+    # the length after the left shift: their difference is what it saved.
+    fields = dict(f.split("=", 1) for f in lines[0][2:].split())
+    assembled = sum(int(line.split(",")[7]) for line in lines[2:])
+    assert int(fields["assembled"]) == assembled
+    assert int(fields["length"]) == read_schedule(out).length <= assembled
 
 
 def test_simulate_cli(tmp_path, capsys):
@@ -198,6 +204,25 @@ def test_simulate_cli(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("round 0:")
     assert "{0,1,2}" in out.splitlines()[-1]
+
+
+def test_simulate_cli_costs_actions_not_declared_length(tmp_path, capsys):
+    # Two actions in a million declared rounds: round 0, then one line per
+    # round after which the holdings changed.
+    graph = tmp_path / "k2.txt"
+    run_cli("gen", "--kind", "complete", "--n", "2", "--out", str(graph))
+    sched = tmp_path / "s.sched"
+    sched.write_text("TCSCHED 1\nlength 1000000\n1 0 SEND 1\n2 1 COMPUTE\n")
+    capsys.readouterr()
+    started = time.perf_counter()
+    assert run_cli("simulate", "--graph", str(graph), "--schedule", str(sched),
+                   "--tc", "1", "--tm", "1") == 0
+    assert time.perf_counter() - started < 0.5
+    assert capsys.readouterr().out.splitlines() == [
+        "round 0: 0:{0} 1:{1}",
+        "round 1: 1:{1} 1:{0}",
+        "round 2: 1:{0,1}",
+    ]
 
 
 def test_gadget_psi_cli(tmp_path):

@@ -16,6 +16,7 @@ from tokensched.core import (
     Schedule,
     _nogc,
     initial_state,
+    left_shift,
     lower_bounds,
     replay_events,
     simulate,
@@ -443,3 +444,25 @@ def test_replay_events_order_and_content():
     assert kinds == ["deliver", "deliver", "merge", "merge"]
     # Same-round deliveries are ordered by sender id.
     assert events[0][2] == 0 and events[1][2] == 2
+
+
+def test_left_shift_starts_each_action_once_its_tokens_are_in():
+    # Node 2's send and node 1's merges idle in the input; each moves to the
+    # first round its node is free with the tokens it needs, and the named
+    # send loses its name.
+    g = path_graph(3)
+    s = Schedule(10, (Action(1, 0, SEND, 1), Action(5, 1, COMPUTE),
+                      Action(8, 2, SEND, 1, token=2), Action(9, 1, COMPUTE)))
+    assert validate_schedule(g, P11, s).valid
+    assert left_shift(g, P11, s) == Schedule(3, (
+        Action(1, 0, SEND, 1), Action(1, 2, SEND, 1),
+        Action(2, 1, COMPUTE), Action(3, 1, COMPUTE),
+    ))
+    p = NetworkParams(2, 1)  # the second merge waits for the first
+    assert left_shift(g, p, s).actions[-1] == Action(4, 1, COMPUTE)
+
+
+def test_left_shift_refuses_an_action_that_never_gets_its_tokens():
+    g = path_graph(2)
+    with pytest.raises(ValueError, match="node 0"):
+        left_shift(g, P11, Schedule(1, (Action(1, 0, COMPUTE),)))

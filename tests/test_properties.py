@@ -7,7 +7,9 @@ and the oracle's search finds the same at every horizon whether or not it
 carries its table over from the horizons before, and the same as the
 reference search in `brute_reference.py`.  Greedy aggregation on a
 labelled tree from any valid starting holdings ends with one token at the
-root.  Distances and domination agree with networkx.
+root.  The left shift keeps every scheduler's output valid and no longer:
+it leaves opt_complete and solve_tc as they are and brute_opt's optimum at
+its length.  Distances and domination agree with networkx.
 """
 
 from itertools import combinations
@@ -17,10 +19,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from brute_reference import ReferenceSearch
-from tokensched.approx import solve_tc
+from tokensched.approx import _fallback_pairing, solve_tc
 from tokensched.brute import _Search, brute_opt
 from tokensched.complete import build_tree, opt_complete, prune_tree, r_star, tree_schedule
-from tokensched.domset import is_dominating_set, min_dominating_set
+from tokensched.domset import (
+    is_dominating_set,
+    make_dominating_set,
+    min_dominating_set,
+    psi_transform,
+    schedule_from_dominating_set,
+)
 from tokensched.core import (
     SEND,
     Action,
@@ -29,6 +37,7 @@ from tokensched.core import (
     NetworkParams,
     Schedule,
     TokenState,
+    left_shift,
     lower_bounds,
     replay_events,
     simulate,
@@ -55,9 +64,9 @@ def costs(draw) -> NetworkParams:
 
 
 @st.composite
-def instances(draw):
-    """(graph, params, schedule) from greedy, brute_opt or solve_tc on a small
-    connected graph."""
+def sourced_instances(draw):
+    """(source, graph, params, schedule) from greedy, brute_opt or solve_tc on
+    a small connected graph."""
     source = draw(st.sampled_from(("greedy", "brute_opt", "solve_tc")))
     n = draw(st.integers(1, BRUTE_MAX_NODES if source == "brute_opt" else 7))
     p = costs(draw)
@@ -72,7 +81,12 @@ def instances(draw):
         s = brute_opt(g, p, force=True).schedule
     else:
         s = solve_tc(g, p, seed=draw(st.integers(0, 3)))
-    return g, p, s
+    return source, g, p, s
+
+
+def instances():
+    """(graph, params, schedule) from sourced_instances."""
+    return sourced_instances().map(lambda inst: inst[1:])
 
 
 def mutations(s: Schedule):
@@ -195,6 +209,47 @@ def test_tree_schedule_aggregates_at_the_root(tree, tc, tm):
     assert len(final.tokens_at(root)) == 1
 
 
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(sourced_instances())
+def test_left_shift_keeps_scheduler_outputs(inst):
+    """left_shift leaves opt_complete's schedules as they are, and solve_tc's,
+    which end with it; an optimum from brute_opt keeps its length."""
+    source, g, p, s = inst
+    shifted = left_shift(g, p, s)
+    assert validate_schedule(g, p, shifted).valid
+    if source == "brute_opt":
+        assert shifted.length == s.length
+    else:
+        assert shifted == s
+
+
+@st.composite
+def placements(draw):
+    """(graph, counts): a connected graph on n <= 10 nodes and 0-3 tokens on
+    each node, at least one in all."""
+    n = draw(st.integers(1, 10))
+    g = connected_graph(draw, n)
+    counts = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    counts[0] += not any(counts)
+    return g, counts
+
+
+@settings(max_examples=100, deadline=None)
+@given(placements(), st.integers(1, 3), st.integers(1, 3))
+def test_left_shift_of_the_endgame_from_any_placement(placement, tc, tm):
+    """The tree endgame stays valid from its starting placement under the
+    shift, and gets no longer."""
+    g, counts = placement
+    p = NetworkParams(tc, tm)
+    ids = iter(range(sum(counts)))
+    start = TokenState(tuple(tuple(frozenset([next(ids)]) for _ in range(k)) for k in counts))
+    s = _fallback_pairing(g, p, counts)
+    assert validate_schedule(g, p, s, start=start).valid
+    shifted = left_shift(g, p, s, start=start)
+    assert validate_schedule(g, p, shifted, start=start).valid
+    assert shifted.length <= s.length
+
+
 @st.composite
 def oracle_instances(draw, max_n: int = BRUTE_MAX_NODES):
     """(graph, params) on a connected graph with 2 <= n <= max_n."""
@@ -271,3 +326,17 @@ def test_distances_and_domination_match_networkx(g, data):
     ds = min_dominating_set(g)
     assert nx.is_dominating_set(h, ds.members)
     assert not any(nx.is_dominating_set(h, c) for c in combinations(range(g.n), len(ds) - 1))
+
+
+@settings(max_examples=50, deadline=None)
+@given(small_graphs(), st.integers(1, 3), st.data())
+def test_left_shift_of_gadget_schedules(g, t_m, data):
+    """The gadget schedule from any dominating set stays valid under the
+    shift and gets no longer."""
+    extra = data.draw(st.sets(st.integers(0, g.n - 1)))
+    ds = make_dominating_set(g, min_dominating_set(g).members | extra)
+    gadget = psi_transform(g, t_m)
+    s = schedule_from_dominating_set(gadget, ds)
+    shifted = left_shift(gadget.graph, gadget.params, s)
+    assert validate_schedule(gadget.graph, gadget.params, shifted).valid
+    assert shifted.length <= s.length
