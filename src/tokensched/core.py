@@ -67,7 +67,9 @@ class Graph:
 
     Duplicate edges (in either orientation) collapse into one.  The canonical
     edge set is built on first use of `edges`; the edge count `m` comes from
-    the node degrees.
+    the node degrees.  `generators.complete_graph` gives K_n as its counts
+    alone, `adj` built on first read; a complete graph answers `has_edge`,
+    the replay's neighbour check and its eccentricities without `adj`.
     """
 
     @_nogc
@@ -89,12 +91,13 @@ class Graph:
         self.adj = tuple(frozenset(a) if a else _NO_NEIGHBORS for a in adj)
         self.m = sum(map(len, self.adj)) // 2
 
-    @classmethod
-    def _from_adjacency(cls, adj: tuple) -> "Graph":
-        """Graph over symmetric, loop-free neighbour frozensets; unchecked."""
-        g = cls.__new__(cls)
-        g.n, g.adj, g.m = len(adj), adj, sum(map(len, adj)) // 2
-        return g
+    @cached_property
+    def adj(self) -> tuple:
+        """K_n's neighbour sets, each everyone but the vertex itself, built
+        on first read.  Only complete_graph leaves `adj` unset; __init__
+        sets it on every other graph."""
+        everyone = frozenset(range(self.n))
+        return tuple(everyone - {v} for v in range(self.n))
 
     @cached_property
     def edges(self) -> frozenset:
@@ -111,12 +114,15 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
     def has_edge(self, u: int, v: int) -> bool:
+        if self.is_complete():
+            return u != v and 0 <= u < self.n and 0 <= v < self.n
         return v in self.adj[u]
 
     def max_degree(self) -> int:
         return max((len(a) for a in self.adj), default=0)
 
     def is_complete(self) -> bool:
+        """m == n(n-1)/2, which only K_n meets, as edges are deduplicated."""
         return self.m == self.n * (self.n - 1) // 2
 
     def bfs_distances(self, source: int) -> list:
@@ -137,7 +143,10 @@ class Graph:
 
     @cached_property
     def _eccentricities(self) -> tuple:
-        """All-pairs BFS, run once per graph (graphs are immutable)."""
+        """All-pairs BFS, run once per graph (graphs are immutable); on K_n,
+        1 everywhere (0 for n = 1) without a search."""
+        if self.is_complete():
+            return (min(self.n - 1, 1),) * self.n
         eccs = []
         for v in range(self.n):
             dist = self.bfs_distances(v)
@@ -213,8 +222,12 @@ class Action(namedtuple("Action", "start_round node kind target token",
 class Schedule:
     """A timed list of actions plus a declared length in rounds.
 
-    Actions are kept canonically sorted so equal schedules compare equal and
-    serialize identically.
+    Actions are kept canonically sorted, in `Action.sort_key` order, so equal
+    schedules compare equal and serialize identically.  The action tuples
+    sort natively in that order ("COMPUTE" < "SEND"), with no key tuple per
+    action, except where two SENDs differ only by an unset and a set token:
+    comparing those raises TypeError, and only then does the sort fall back
+    to `Action.sort_key`.
     """
 
     length: int
@@ -223,9 +236,11 @@ class Schedule:
     def __post_init__(self):
         if self.length < 0:
             raise MalformedInputError(f"length must be >= 0, got {self.length}")
-        object.__setattr__(
-            self, "actions", tuple(sorted(self.actions, key=Action.sort_key))
-        )
+        try:
+            actions = sorted(self.actions)
+        except TypeError:
+            actions = sorted(self.actions, key=Action.sort_key)
+        object.__setattr__(self, "actions", tuple(actions))
 
     def last_occupied_round(self, p: NetworkParams) -> int:
         return max(
@@ -345,6 +360,7 @@ class _Replay:
         holdings, sets, parts, min_id = self.holdings, self.sets, self.parts, self.min_id
         events, states = self.events, self.states
         busy_until = [0] * g.n
+        complete = g.is_complete()  # every in-range other node is a neighbour
         # (round, _MERGE/_DELIVER, node, target, a, b), each in landing order
         merges, deliveries = deque(), deque()
         for a in (*s.actions, None):
@@ -379,7 +395,7 @@ class _Replay:
                     raise MalformedInputError(
                         f"round {now}: node {v} sends to invalid node {target}"
                     )
-                if target not in g.adj[v]:
+                if not complete and target not in g.adj[v]:
                     raise MalformedInputError(
                         f"round {now}: nodes {v} and {target} are not neighbors"
                     )

@@ -18,13 +18,19 @@ before any adjacency is allocated, so a tiny file cannot exhaust memory.
 
 from __future__ import annotations
 
+import io
+
 from .core import COMPUTE, SEND, Action, Graph, MalformedInputError, Schedule, _nogc
 
 MAX_NODES = 1_000_000
 
 
 def _data_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    """(line number, stripped line) for each line that is neither blank nor a
+    comment, read one line at a time and numbered as str.splitlines would."""
+    # a chunk is one line by universal newlines; splitlines also breaks at \f, \v, ...
+    lines = (line for chunk in io.StringIO(text, newline=None) for line in chunk.splitlines())
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -70,13 +76,14 @@ def format_graph(g: Graph) -> str:
 
 @_nogc
 def parse_schedule(text: str) -> Schedule:
-    lines = list(_data_lines(text))
-    if len(lines) < 2:
+    lines = _data_lines(text)  # read as the actions are parsed, not listed first
+    head = next(lines, None), next(lines, None)
+    if head[1] is None:
         raise MalformedInputError("schedule file needs a TCSCHED header and a length line")
-    lineno, magic = lines[0]
+    lineno, magic = head[0]
     if magic.split() != ["TCSCHED", "1"]:
         raise MalformedInputError(f"line {lineno}: expected 'TCSCHED 1', got {magic!r}")
-    lineno, lenline = lines[1]
+    lineno, lenline = head[1]
     parts = lenline.split()
     if len(parts) != 2 or parts[0] != "length":
         raise MalformedInputError(f"line {lineno}: expected 'length L', got {lenline!r}")
@@ -85,7 +92,7 @@ def parse_schedule(text: str) -> Schedule:
     except ValueError as exc:
         raise MalformedInputError(f"line {lineno}: non-integer length") from exc
     actions = []
-    for lineno, line in lines[2:]:
+    for lineno, line in lines:
         parts = line.split()
         if len(parts) < 3:
             raise MalformedInputError(f"line {lineno}: incomplete action {line!r}")

@@ -8,11 +8,13 @@ from .core import Graph
 
 
 def complete_graph(n: int) -> Graph:
-    """K_n, each vertex's neighbour set built directly as everyone but itself."""
+    """K_n as its node and edge counts: O(1) to build, with the neighbour
+    sets built on first read of `adj` (see Graph)."""
     if n < 1:
         return Graph(n, ())  # raises Graph's MalformedInputError
-    everyone = frozenset(range(n))
-    return Graph._from_adjacency(tuple(everyone - {v} for v in range(n)))
+    g = Graph.__new__(Graph)
+    g.n, g.m = n, n * (n - 1) // 2
+    return g
 
 
 def path_graph(n: int) -> Graph:

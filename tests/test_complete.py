@@ -1,3 +1,5 @@
+import hashlib
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +16,7 @@ from tokensched.complete import (
     tree_schedule,
     tree_size,
 )
+from tokensched.files import format_schedule
 from tokensched.generators import complete_graph
 
 from complete_reference import greedy_completion_round, stack_build_tree
@@ -191,6 +194,15 @@ def test_tree_schedule_tokenless_leaf_silences_its_ancestors():
         (6, 4, "COMPUTE", None), (8, 4, "SEND", 3), (9, 3, "COMPUTE", None),
     ]
     assert last == 10
+
+
+def test_opt_complete_2000_is_pinned():
+    h = hashlib.sha256()
+    for p in (P11, P21, P12, NetworkParams(3, 1)):
+        h.update(format_schedule(opt_complete(2000, p)).encode())
+    assert h.hexdigest() == (
+        "1eb802999109950ef680b11c9bba762b7a5ea2a1ae023d43001f67481b9a2647"
+    )
 
 
 def test_opt_complete_examples_and_tree_property():

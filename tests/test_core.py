@@ -1,8 +1,12 @@
 import gc
 import pickle
 import time
+import tracemalloc
+from itertools import permutations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tokensched.core import (
     COMPUTE,
@@ -23,6 +27,7 @@ from tokensched.core import (
     trivial_upper_bound,
     validate_schedule,
 )
+from tokensched.complete import opt_complete
 from tokensched.files import format_graph
 from tokensched.generators import complete_graph, grid_graph, path_graph, star_graph
 
@@ -72,15 +77,71 @@ def test_graph_eccentricities_computed_once(monkeypatch):
     assert (g.radius(), g.diameter()) == (3, 5)
 
 
+def _outcome(fn, *args):
+    """What a call returns, or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except (InvalidScheduleError, MalformedInputError) as e:
+        return type(e), str(e)
+
+
 def test_complete_graph_equals_graph_over_all_pairs():
     for n in range(1, 41):
         want = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+        # want answers from its neighbour sets and all-pairs BFS, not as K_n
+        want.is_complete = lambda: False
         got = complete_graph(n)
+        assert got.is_complete()
+        assert all(got.has_edge(u, v) == want.has_edge(u, v)
+                   for u in range(n) for v in range(n))
+        assert not any(got.has_edge(u, v) or got.has_edge(v, u)
+                       for u in (-1, n, n + 1) for v in range(-1, n + 2))
+        assert (got.radius(), got.diameter()) == (want.radius(), want.diameter())
+        for p in (P11, NetworkParams(2, 3)):
+            assert lower_bounds(got, p) == lower_bounds(want, p)
+            assert trivial_upper_bound(got, p) == trivial_upper_bound(want, p)
+            s = opt_complete(n, p)
+            acts = list(s.actions)
+            schedules = [
+                s,
+                Schedule(s.length, acts[1:]),  # one action short
+                Schedule(s.length, acts + [Action(1, 0, SEND, 0)]),  # to itself
+                Schedule(s.length, acts + [Action(1, 0, SEND, n)]),  # to node n
+                Schedule(s.length + 1, [a._replace(start_round=a.start_round + 1)
+                                        for a in acts[:1]] + acts[1:]),
+            ]
+            if n > 2:  # the first send goes to another node instead
+                i = next(i for i, a in enumerate(acts) if a.kind == SEND)
+                a = acts[i]
+                other = next(t for t in range(n) if t not in (a.node, a.target))
+                schedules.append(Schedule(s.length, acts[:i] + [a._replace(target=other)]
+                                          + acts[i + 1:]))
+            for t in schedules:
+                assert _outcome(validate_schedule, got, p, t) == \
+                    _outcome(validate_schedule, want, p, t)
+                assert _outcome(replay_events, got, p, t) == \
+                    _outcome(replay_events, want, p, t)
+        assert "adj" not in vars(got)  # none of the above read the sets
         assert got == want
         assert got.adj == want.adj and got.m == want.m
         assert got.edges == want.edges and hash(got) == hash(want)
     with pytest.raises(MalformedInputError, match="node count must be >= 1, got 0"):
         complete_graph(0)
+
+
+def test_validating_on_complete_graph_never_builds_its_neighbour_sets():
+    tracemalloc.start()
+    try:
+        g = complete_graph(2000)
+        report = validate_schedule(g, P11, opt_complete(2000, P11))
+        bounds = lower_bounds(g, P11)
+        edge = g.has_edge(0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.valid and bounds == (11, 1, 11) and edge
+    assert "adj" not in vars(g)
+    assert peak < 5e6  # K_2000's neighbour sets alone take about 130 MB
 
 
 def test_nogc_restores_the_callers_setting():
@@ -168,6 +229,22 @@ def test_schedule_canonical_order():
     b = Action(1, 1, SEND, 0)
     assert Schedule(2, (a, b)) == Schedule(2, (b, a))
     assert Schedule(2, (a, b)).actions[0] == b
+
+
+_ACTIONS = st.one_of(
+    st.builds(Action, st.integers(1, 3), st.integers(0, 2), st.just(COMPUTE)),
+    st.builds(Action, st.integers(1, 3), st.integers(0, 2), st.just(SEND),
+              st.integers(0, 2), st.none() | st.integers(0, 2)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ACTIONS, max_size=5))
+@example([Action(1, 0, SEND, 1, 0), Action(1, 0, SEND, 1)])  # None vs 0: TypeError
+def test_schedule_sorts_every_permutation_in_sort_key_order(acts):
+    want = tuple(sorted(acts, key=Action.sort_key))
+    for perm in permutations(acts):
+        assert Schedule(3, perm).actions == want
 
 
 def test_single_node_empty_schedule_is_valid():
