@@ -23,7 +23,6 @@ from .core import (
     InvalidScheduleError,
     MalformedInputError,
     NetworkParams,
-    ceil_log2,
     lower_bounds,
     state_changes,
     validate_schedule,
@@ -84,19 +83,12 @@ def _graph_facts(g: Graph, p: NetworkParams) -> tuple:
     return g.n, g.m, g.diameter(), g.radius(), lower_bounds(g, p)
 
 
-def _complete_facts(n: int, p: NetworkParams) -> tuple:
-    """_graph_facts of K_n in closed form, without building K_n."""
-    radius = min(1, n - 1)
-    lbs = (p.t_c * ceil_log2(n), p.t_m * radius)
-    return n, n * (n - 1) // 2, radius, radius, (*lbs, max(lbs))
-
-
 def _cmd_complete(args) -> int:
     started = time.perf_counter()
     p = _params(args)
     sched = opt_complete(args.n, p)
     _emit(format_schedule(sched), args.out)
-    _report(args, lambda: _complete_facts(args.n, p), p, sched.length, "-", started)
+    _report(args, lambda: _graph_facts(complete_graph(args.n), p), p, sched.length, "-", started)
     return 0
 
 

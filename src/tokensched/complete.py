@@ -7,11 +7,11 @@ joined under its root as one extra (last) subtree.  The optimal schedule for
 K_n greedily aggregates on the smallest such tree with at least n nodes,
 pruned down to exactly n nodes.
 
-The greedy rule lives in one place, `fold`: a node merges whenever it is
-free and holds two tokens, and otherwise waits for the next token to land.
-tree_schedule applies it to every node of any parent array over graph ids,
-children first, with any starting token counts; approx's endgame uses it on
-a shortest-path tree of its graph, and domset's gadget schedule at the hub.
+Greedy aggregation merges at a node whenever it is free and holds two
+tokens, and otherwise waits for the next token to land; core._asap, the one
+timing engine, applies that rule.  tree_schedule runs it on any parent array
+over graph ids with any starting token counts; approx's endgame uses it on a
+shortest-path tree of its graph.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 
-from .core import COMPUTE, SEND, Action, NetworkParams, Schedule, _nogc
+from .core import COMPUTE, SEND, NetworkParams, Schedule, _asap, _nogc
 
 
 def _sizes(p: NetworkParams):
@@ -122,77 +122,28 @@ def prune_tree(tree: AggTree, n: int) -> AggTree:
     return AggTree(tree.R, tuple(kept))
 
 
-def fold(held: int, arrivals, r: int, p: NetworkParams) -> tuple:
-    """Greedy aggregation at one node: (merge start rounds, free round,
-    tokens left).
-
-    The node holds `held` tokens and is free from round r; one more token
-    lands at each round in the sorted `arrivals`.  Whenever it is free and
-    holds two or more tokens it merges two of them (busy t_c rounds);
-    otherwise it waits for the next arrival.  The free round returned is the
-    first round, no earlier than the last arrival, at which the node is free;
-    it then holds at most one token.
-    """
-    starts = []
-    i = 0
-    while True:
-        while i < len(arrivals) and arrivals[i] <= r:
-            held += 1
-            i += 1
-        if held >= 2:
-            starts.append(r)
-            held -= 1
-            r += p.t_c
-        elif i < len(arrivals):
-            r = arrivals[i]
-        else:
-            return starts, r, held
-
-
 def tree_schedule(parent: list, tokens: list, p: NetworkParams) -> tuple:
     """Greedy aggregation on a rooted tree: (actions, last occupied round).
 
     parent[u] is u's parent, or -1 for the root and for nodes off the tree;
     tokens[u] is u's starting token count, 0 on a relay.  Actions name each
-    node by its index u.  Nodes are scheduled children first (Kahn's order
-    from the childless nodes), each by one `fold` from round 1 over the
-    rounds its children's tokens land; a non-root left with one token then
-    sends it to its parent, which hears it t_m rounds later.  So a node
+    node by its index u.  Node u holding k tokens of its own and from its
+    children merges k - 1 times and then, unless it is the root, sends the
+    result to its parent, each action as early as core._asap allows: it
     merges whenever it is free with two or more tokens, and sends once it is
     free with one token and has heard from every child.
 
-    Precondition, not checked: every leaf holds at least one token and no
-    node off the tree holds any.  Otherwise a node without a token does not
-    send, nor does any of its ancestors, and tokens are left over.
+    Every leaf must hold a token and no node off the tree any; a tokenless
+    leaf raises ValueError naming the lowest node that is left stuck.
     """
-    size = len(parent)
-    waiting = [0] * size  # children not yet scheduled
+    k = list(tokens)
     for q in parent:
         if q >= 0:
-            waiting[q] += 1
-    arrivals = [[] for _ in range(size)]
-    silent = [False] * size  # some child sent nothing
-    actions = []
-    last = 0
-    ready = [u for u in range(size) if waiting[u] == 0]
-    for u in ready:  # grows as parents become ready
-        starts, r, held = fold(tokens[u], sorted(arrivals[u]), 1, p)
-        actions.extend(Action(s, u, COMPUTE) for s in starts)
-        if starts:
-            last = max(last, starts[-1] + p.t_c - 1)
-        q = parent[u]
-        if q < 0:
-            continue
-        if held and not silent[u]:
-            actions.append(Action(r, u, SEND, q))
-            last = max(last, r + p.t_m - 1)
-            arrivals[q].append(r + p.t_m)
-        else:
-            silent[q] = True
-        waiting[q] -= 1
-        if waiting[q] == 0:
-            ready.append(q)
-    return tuple(actions), last
+            k[q] += 1
+    merge = ((COMPUTE, None),)
+    queues = [merge * (c - 1) + ((SEND, q),) if q >= 0 else merge * (c - 1)
+              for c, q in zip(k, parent)]
+    return _asap(p, queues, tokens)
 
 
 @_nogc

@@ -114,9 +114,10 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
     def has_edge(self, u: int, v: int) -> bool:
-        if self.is_complete():
-            return u != v and 0 <= u < self.n and 0 <= v < self.n
-        return v in self.adj[u]
+        """False for any id outside 0..n-1."""
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            return False
+        return u != v if self.is_complete() else v in self.adj[u]
 
     def max_degree(self) -> int:
         return max((len(a) for a in self.adj), default=0)
@@ -500,54 +501,79 @@ def validate_schedule(g: Graph, p: NetworkParams, s: Schedule,
     return ValidationReport(True, None, 1)
 
 
+def _asap(p: NetworkParams, queues: list, held: list) -> tuple:
+    """The greedy timing engine: (actions, last occupied round).
+
+    queues[v] lists node v's actions in order as (kind, target) pairs, and
+    held[v] is its starting token count.  Each action starts at the first
+    round at which its node is free and holds a token for a SEND, two for a
+    COMPUTE; tokens landing at a round count before that round's starts.
+
+    Rounds are visited in buckets: one list of landings and one of starts
+    per round, and a heap of the distinct rounds only, so the cost is
+    O(A + D log D) for A actions over D distinct rounds, however far apart
+    the rounds are.  Raises ValueError naming the lowest node whose next
+    action can never start.
+    """
+    cost = {SEND: (1, p.t_m), COMPUTE: (2, p.t_c)}  # kind -> (tokens needed, rounds)
+    held = list(held)
+    nxt = [0] * len(queues)  # index of each node's next action
+    waiting = [False] * len(queues)  # the next action waits for a landing
+    due = {1: ([], [v for v, q in enumerate(queues) if q])}  # round -> (lands, starts)
+    rounds = [1]
+    actions = []
+    while rounds:
+        r = heappop(rounds)
+        lands, starts = due.pop(r)
+        for v in lands:
+            held[v] += 1
+            if waiting[v]:
+                waiting[v] = False
+                starts.append(v)
+        for v in starts:
+            q, i = queues[v], nxt[v]
+            kind, target = q[i]
+            need, dur = cost[kind]
+            if held[v] < need:
+                waiting[v] = True
+                continue
+            held[v] -= 1  # a send's token, or a merge's second operand
+            nxt[v] = i + 1
+            actions.append(Action(r, v, kind, target))
+            # Every action ends in a visited round, so the last one popped
+            # is one past the last occupied round.
+            bucket = due.get(r + dur)
+            if bucket is None:
+                bucket = due[r + dur] = ([], [])
+                heappush(rounds, r + dur)
+            if kind == SEND:
+                bucket[0].append(target)
+            if i + 1 < len(q):
+                bucket[1].append(v)
+    for v, q in enumerate(queues):
+        if nxt[v] < len(q):
+            raise ValueError(f"node {v} never holds the tokens for its next {q[nxt[v]][0]}")
+    return actions, r - 1
+
+
 def left_shift(g: Graph, p: NetworkParams, s: Schedule,
                start: TokenState | None = None) -> Schedule:
-    """s with every action started as early as token counts allow.
+    """s with every action started as early as token counts allow (_asap).
 
     Each node keeps its actions in their order, and SENDs lose their token
-    names (an unnamed SEND moves the oldest token).  Every action starts at
-    the first round at which its node is free and holds a token for a SEND,
-    two for a COMPUTE; effects landing at a round count before that round's
-    starts.  The declared length becomes the last occupied round.
+    names (an unnamed SEND moves the oldest token).  The declared length
+    becomes the last occupied round.
 
     Validity then rests on counts alone.  A node's k-th action waits only on
     its own earlier actions and on arrivals, and by induction every arrival
     comes no later than in s.  So when s is valid from `start` up to token
-    names, the result is valid and no longer.  Costs O(A log A) in the
-    number of actions A.  Raises ValueError when an action can never start.
+    names, the result is valid and no longer.  Raises ValueError when an
+    action can never start.
     """
-    held = [1] * g.n if start is None else list(start.counts())
-    todo = [deque() for _ in range(g.n)]
-    for a in s.actions:  # canonical order: each node's actions by start round
-        todo[a.node].append(a)
-    waiting = [False] * g.n  # the next action waits for an arrival
-    events = [(1, 1, v) for v in range(g.n) if todo[v]]  # (round, 0 lands / 1 starts, node)
-    actions = []
-    last = 0
-    while events:
-        r, starts, v = heappop(events)
-        if not starts:
-            held[v] += 1
-            if waiting[v]:
-                waiting[v] = False
-                heappush(events, (r, 1, v))
-            continue
-        _, _, kind, target, _ = todo[v][0]
-        if held[v] < (1 if kind == SEND else 2):
-            waiting[v] = True
-            continue
-        todo[v].popleft()
-        held[v] -= 1  # a send's token, or a merge's second operand
-        dur = p.duration(kind)
-        actions.append(Action(r, v, kind, target))
-        last = max(last, r + dur - 1)
-        if kind == SEND:
-            heappush(events, (r + dur, 0, target))
-        if todo[v]:
-            heappush(events, (r + dur, 1, v))
-    stuck = next((v for v in range(g.n) if todo[v]), None)
-    if stuck is not None:
-        raise ValueError(f"node {stuck} never holds the tokens for {todo[stuck][0]}")
+    queues = [[] for _ in range(g.n)]
+    for _, v, kind, target, _ in s.actions:  # canonical order: by start round
+        queues[v].append((kind, target))
+    actions, last = _asap(p, queues, [1] * g.n if start is None else start.counts())
     return Schedule(last, actions)
 
 

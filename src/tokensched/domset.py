@@ -16,14 +16,13 @@ import warnings
 from dataclasses import dataclass
 from itertools import combinations
 
-from .complete import fold
 from .core import (
     COMPUTE,
     SEND,
-    Action,
     Graph,
     NetworkParams,
     Schedule,
+    _asap,
     validate_schedule,
 )
 
@@ -127,38 +126,37 @@ def schedule_from_dominating_set(gadget: PsiGadget, ds: DominatingSet) -> Schedu
 
     Round 1: danglers send to the hub, the hub sends its token to the special
     dangler, every dominated vertex sends to its dominator, and dominators
-    with nothing to wait for send immediately.  Then each dominator folds its
-    pile and the special dangler the hub's token (complete.fold, the greedy
-    rule of tree_schedule), and each forwards the result to the hub, which
-    folds everything it receives by the same rule.  For base max degree >= 2
-    the length is at most 2 * t_m + max_degree + |κ|.
+    with nothing to wait for send immediately.  Then each dominator merges
+    its pile and the special dangler the hub's token, and each forwards the
+    result to the hub, which merges everything it receives.  Every action
+    starts as early as its node's token count allows (core._asap, the greedy
+    rule of complete.tree_schedule).  For base max degree >= 2 the length is
+    at most 2 * t_m + max_degree + |κ|.
     """
-    g, t_m = gadget.base, gadget.t_m
+    g = gadget.base
     if ds.members - set(range(g.n)):
         raise ValueError("dominating set names nodes outside the base graph")
     make_dominating_set(g, ds.members)  # re-verify on the base
-    hub, special, p = gadget.hub, gadget.special, gadget.params
-    actions = [Action(1, d, SEND, hub) for d in gadget.danglers]
-    hub_arrivals = [1 + t_m] * len(gadget.danglers)
-    actions.append(Action(1, hub, SEND, special))
-    pile = {m: 0 for m in ds.members}
-    pile[special] = 1  # the hub's token
+    hub, special = gadget.hub, gadget.special
+    n = gadget.graph.n
+    queues = [[] for _ in range(n)]
+    for d in gadget.danglers:
+        queues[d].append((SEND, hub))
+    queues[hub].append((SEND, special))
+    k = [1] * n  # the tokens each node ends up merging
+    k[special] = 2  # its own and the hub's
     for v in range(g.n):
         m = ds.certificate[v]
         if m != v:
-            actions.append(Action(1, v, SEND, m))
-            pile[m] += 1
-    # Each dominator folds its pile, the special dangler the hub's token;
-    # each then sends to the hub.
-    for m in [*sorted(ds.members), special]:
-        starts, r, _ = fold(1, [1 + t_m] * pile[m], 1, p)
-        actions.extend(Action(s, m, COMPUTE) for s in starts)
-        actions.append(Action(r, m, SEND, hub))
-        hub_arrivals.append(r + t_m)
-    # The hub is busy with its own send through round t_m.
-    starts, _, _ = fold(0, sorted(hub_arrivals), t_m + 1, p)
-    actions.extend(Action(s, hub, COMPUTE) for s in starts)
-    return Schedule(starts[-1], tuple(actions))
+            queues[v].append((SEND, m))
+            k[m] += 1
+    # Each dominator merges its pile, the special dangler the hub's token;
+    # each then sends to the hub, which merges everything it receives.
+    for m in [*ds.members, special]:
+        queues[m] += [(COMPUTE, None)] * (k[m] - 1) + [(SEND, hub)]
+    queues[hub] += [(COMPUTE, None)] * (len(gadget.danglers) + len(ds.members))
+    actions, last = _asap(gadget.params, queues, [1] * n)
+    return Schedule(last, actions)
 
 
 def _iceil(x: float) -> int:

@@ -39,10 +39,13 @@ def report_fields(err: str) -> dict:
 
 
 def test_complete_report_does_not_build_the_graph(tmp_path, monkeypatch, capsys):
-    def no_graph(n):
-        raise AssertionError(f"the run report built K_{n}")
+    built = []
 
-    monkeypatch.setattr(cli, "complete_graph", no_graph)
+    def recording_complete_graph(n):
+        built.append(complete_graph(n))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "complete_graph", recording_complete_graph)
     assert run_cli("complete", "--n", "2000", "--tc", "2", "--tm", "1",
                    "--out", str(tmp_path / "k.sched")) == 0
     length = r_star(2000, NetworkParams(2, 1))
@@ -52,6 +55,9 @@ def test_complete_report_does_not_build_the_graph(tmp_path, monkeypatch, capsys)
         "compute_lb": "22", "radius_lb": "1", "combined_lb": "22",
         "ratio": f"{length / 22:.3f}", "seed": "-",
     }
+    # The report reads K_2000's facts from its counts, never its neighbour sets.
+    assert [g.n for g in built] == [2000]
+    assert "adj" not in vars(built[0])
 
 
 def test_complete_report_matches_the_graph(capsys):

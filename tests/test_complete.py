@@ -1,5 +1,6 @@
 import hashlib
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,7 +9,6 @@ from tokensched.brute import brute_opt
 from tokensched.complete import (
     baseline_lengths,
     build_tree,
-    fold,
     greedy_schedule,
     opt_complete,
     prune_tree,
@@ -154,14 +154,6 @@ def test_prune_tree_counts_and_budget():
     assert prune_tree(build_tree(9, P21), 6).parent == (-1, 0, 0, 0, 0, 3)
 
 
-def test_fold_merges_whenever_free_with_two_tokens():
-    assert fold(3, [], 1, P21) == ([1, 3], 5, 1)
-    assert fold(2, [2, 2], 1, P21) == ([1, 3, 5], 7, 1)  # both land while busy
-    assert fold(1, [4, 4, 9], 1, P21) == ([4, 6, 9], 11, 1)  # idle until 4, then 9
-    assert fold(0, [5], 3, P21) == ([], 5, 1)
-    assert fold(0, [], 1, P21) == ([], 1, 0)
-
-
 def _timeline(actions):
     return sorted((a.start_round, a.node, a.kind, a.target) for a in actions)
 
@@ -184,16 +176,11 @@ def test_tree_schedule_on_labelled_tree_is_pinned():
     assert last == 10
 
 
-def test_tree_schedule_tokenless_leaf_silences_its_ancestors():
-    # Leaf 5 holds nothing, so node 2 never sends; node 4's branch still does.
-    actions, last = tree_schedule(LABELLED_PARENT, [2, 3, 1, 2, 0, 0, 2], P21)
-    assert _timeline(actions) == [
-        (1, 0, "COMPUTE", None), (1, 1, "COMPUTE", None), (1, 3, "COMPUTE", None),
-        (1, 6, "COMPUTE", None), (3, 0, "SEND", 4), (3, 1, "COMPUTE", None),
-        (3, 6, "SEND", 2), (4, 2, "COMPUTE", None), (5, 1, "SEND", 4),
-        (6, 4, "COMPUTE", None), (8, 4, "SEND", 3), (9, 3, "COMPUTE", None),
-    ]
-    assert last == 10
+def test_tree_schedule_refuses_a_tokenless_leaf():
+    # Leaf 5 holds nothing, so node 2 never gets the tokens for its second
+    # merge; the lowest stuck node is named.
+    with pytest.raises(ValueError, match="node 2"):
+        tree_schedule(LABELLED_PARENT, [2, 3, 1, 2, 0, 0, 2], P21)
 
 
 def test_opt_complete_2000_is_pinned():

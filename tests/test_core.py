@@ -18,6 +18,7 @@ from tokensched.core import (
     MalformedInputError,
     NetworkParams,
     Schedule,
+    _asap,
     _nogc,
     initial_state,
     left_shift,
@@ -94,8 +95,8 @@ def test_complete_graph_equals_graph_over_all_pairs():
         assert got.is_complete()
         assert all(got.has_edge(u, v) == want.has_edge(u, v)
                    for u in range(n) for v in range(n))
-        assert not any(got.has_edge(u, v) or got.has_edge(v, u)
-                       for u in (-1, n, n + 1) for v in range(-1, n + 2))
+        assert not any(h.has_edge(u, v) or h.has_edge(v, u) for h in (got, want)
+                       for u in (-2, -1, n, n + 1) for v in range(-2, n + 2))
         assert (got.radius(), got.diameter()) == (want.radius(), want.diameter())
         for p in (P11, NetworkParams(2, 3)):
             assert lower_bounds(got, p) == lower_bounds(want, p)
@@ -521,6 +522,52 @@ def test_replay_events_order_and_content():
     assert kinds == ["deliver", "deliver", "merge", "merge"]
     # Same-round deliveries are ordered by sender id.
     assert events[0][2] == 0 and events[1][2] == 2
+
+
+M = (COMPUTE, None)
+
+
+def test_asap_merges_whenever_free_with_two_tokens():
+    p = NetworkParams(2, 1)
+    # Back to back on tokens already held.
+    assert _asap(p, [[M, M]], [3]) == ([Action(1, 0, COMPUTE), Action(3, 0, COMPUTE)], 4)
+    # Both tokens land at round 2, while node 0 is busy merging.
+    assert _asap(p, [[M, M, M], [(SEND, 0)], [(SEND, 0)]], [2, 1, 1]) == ([
+        Action(1, 0, COMPUTE), Action(1, 1, SEND, 0), Action(1, 2, SEND, 0),
+        Action(3, 0, COMPUTE), Action(5, 0, COMPUTE),
+    ], 6)
+
+
+def test_asap_idles_until_the_next_landing():
+    # Tokens land at node 0 in rounds 4, 4 and 9; it merges at 4 and 6, then
+    # idles until 9.  Node 3 waits for node 4's token, merges, then sends.
+    p = NetworkParams(2, 3)
+    queues = [[M, M, M], [(SEND, 0)], [(SEND, 0)], [M, (SEND, 0)], [(SEND, 3)]]
+    actions, last = _asap(p, queues, [1, 1, 1, 1, 1])
+    assert sorted(actions) == [
+        Action(1, 1, SEND, 0), Action(1, 2, SEND, 0), Action(1, 4, SEND, 3),
+        Action(4, 0, COMPUTE), Action(4, 3, COMPUTE), Action(6, 0, COMPUTE),
+        Action(6, 3, SEND, 0), Action(9, 0, COMPUTE),
+    ]
+    assert last == 10
+
+
+def test_asap_holds_a_start_back_until_the_nodes_own_send_ends():
+    # As at the gadget hub: node 0 still holds two tokens after its send
+    # starts, but is busy sending through round t_m = 3.
+    p = NetworkParams(1, 3)
+    assert _asap(p, [[(SEND, 1), M], [M]], [3, 1]) == ([
+        Action(1, 0, SEND, 1), Action(4, 0, COMPUTE), Action(4, 1, COMPUTE),
+    ], 4)
+
+
+def test_left_shift_cost_does_not_grow_with_the_rounds():
+    p = NetworkParams(10**9, 10**9)
+    s = Schedule(10**12, (Action(10**11, 0, SEND, 1), Action(5 * 10**11, 1, COMPUTE)))
+    t0 = time.perf_counter()
+    shifted = left_shift(complete_graph(2), p, s)
+    assert time.perf_counter() - t0 < 0.1
+    assert shifted == Schedule(2 * 10**9, (Action(1, 0, SEND, 1), Action(10**9 + 1, 1, COMPUTE)))
 
 
 def test_left_shift_starts_each_action_once_its_tokens_are_in():
