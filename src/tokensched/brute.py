@@ -8,8 +8,11 @@ the winning schedule.
 
 States are canonicalized by sorting the records of interchangeable nodes
 (twin vertices: same neighborhood, so any permutation among them is a graph
-automorphism).  On a complete graph all nodes are twins and the reduction is
-maximal; on an asymmetric graph it degenerates to exact states.
+automorphism).  The graph's other automorphisms act when a state is refuted:
+its bound is written under its image by one automorphism per coset of the
+twin permutations, so no mirrored form of a refuted state is proved again.
+On a complete graph or a star every automorphism permutes twins, and on a
+graph with no automorphism but the identity the table holds exact states.
 
 `brute_opt` deepens the horizon from the lower bound with one search, whose
 table maps each canonical state to a proven minimum of the rounds it still
@@ -26,6 +29,7 @@ recursing into it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .core import (
     COMPUTE,
@@ -89,6 +93,32 @@ def _twin_classes(g: Graph) -> list:
     return classes
 
 
+def _automorphisms(g: Graph) -> list:
+    """One automorphism of `g` per coset of the twin permutations, as tuples
+    that map each vertex to its image, leaving out the identity's coset.
+
+    Partial maps grow over the vertices in id order, each vertex going to an
+    unused vertex of its degree whose adjacency to the vertices already
+    mapped matches.  Automorphisms map twin classes onto twin classes, so
+    each coset holds exactly one map that sends the vertices mapped into a
+    class to its members in ascending order.  Within a class only the lowest
+    unused member is therefore tried, and K_n or a star yields the identity
+    alone, not n! or (n - 1)! maps.
+    """
+    adj = g.adj
+    deg = [len(a) for a in adj]
+    class_of = {v: cls for cls in _twin_classes(g) for v in cls}
+    maps = [()]
+    for v in range(g.n):
+        maps = [
+            m + (u,) for m in maps for u in range(g.n)
+            if u not in m and deg[u] == deg[v]
+            and u == min(w for w in class_of.get(u, (u,)) if w not in m)
+            and all((w in adj[v]) == (m[w] in adj[u]) for w in range(v))
+        ]
+    return [m for m in maps if m != tuple(range(g.n))]
+
+
 class _Search:
     """Depth-first search for a schedule finishing within a horizon, with one
     table of proven bounds shared by every horizon `run` is called with.
@@ -108,9 +138,15 @@ class _Search:
     the slack it needs: its `_lower_bound` when first seen, raised to
     slack + 1 when its subtree fails.  A state whose `need` exceeds its slack
     is pruned, so no failed subtree is explored twice at the same or a
-    smaller slack, within one horizon or across horizons.  Only failing
-    subtrees are cut, so the DFS order and the schedule found are those of a
-    search without the table.
+    smaller slack, within one horizon or across horizons.
+
+    `need` is the same on every image of a state under an automorphism of
+    the graph: one maps a schedule that finishes from S onto one that
+    finishes from its image of S, in the same rounds.  So a refuted state's
+    bound is written under each of its images as well, one per coset of the
+    twin permutations, which `_canon` already folds into one key.  The table
+    still cuts only subtrees that fail, so the DFS order and the schedule
+    found are those of a search without the table.
     """
 
     def __init__(self, g: Graph, p: NetworkParams):
@@ -120,6 +156,11 @@ class _Search:
         self.sends = [tuple((SEND, v, u) for u in sorted(g.adj[v])) for v in range(g.n)]
         self.dist = [g.bfs_distances(v) for v in range(g.n)]
         self.twins = _twin_classes(g)
+        # Getters of a key's images, one per coset of the twin permutations
+        # but the identity's; `_canon` folds each coset into one key.  A
+        # getter moves records by its map's inverse, and the inverses run
+        # over the same cosets.
+        self.images = [itemgetter(*aut) for aut in _automorphisms(g)]
         self.need = {}  # canonical state -> proven minimum slack
         self.gather = {}  # token locations -> hops to gather them at one node
         self.recs = {}  # interned node records, shared by the table's keys
@@ -208,6 +249,8 @@ class _Search:
             if sub is not None:
                 return [tuple(acts)] + sub
             self.need[key] = slack + 1
+            for image in self.images:
+                self.need[self._canon(image(key))] = slack + 1
         for k in range(i, len(cands)):
             for act in cands[k]:
                 _, v, u = act

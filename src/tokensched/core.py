@@ -69,7 +69,8 @@ class Graph:
     edge set is built on first use of `edges`; the edge count `m` comes from
     the node degrees.  `generators.complete_graph` gives K_n as its counts
     alone, `adj` built on first read; a complete graph answers `has_edge`,
-    the replay's neighbour check and its eccentricities without `adj`.
+    `max_degree`, `bfs_distances`, `is_connected`, the replay's neighbour
+    check and its eccentricities without `adj`.
     """
 
     @_nogc
@@ -120,6 +121,8 @@ class Graph:
         return u != v if self.is_complete() else v in self.adj[u]
 
     def max_degree(self) -> int:
+        if self.is_complete():
+            return self.n - 1
         return max((len(a) for a in self.adj), default=0)
 
     def is_complete(self) -> bool:
@@ -128,6 +131,10 @@ class Graph:
 
     def bfs_distances(self, source: int) -> list:
         """Hop distances from source; -1 for unreachable nodes."""
+        if self.is_complete():
+            dist = [1] * self.n
+            dist[source] = 0
+            return dist
         dist = [-1] * self.n
         dist[source] = 0
         q = deque([source])

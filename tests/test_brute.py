@@ -1,8 +1,11 @@
 import gc
 import hashlib
+import time
 import weakref
 
+import networkx as nx
 import pytest
+from networkx.algorithms.isomorphism import GraphMatcher
 
 from tokensched import brute
 from tokensched.core import (
@@ -20,6 +23,7 @@ from tokensched.brute import (
     max_singleton_distance,
     n_star_table,
     solvable_within,
+    _automorphisms,
     _twin_classes,
 )
 from tokensched.complete import r_star, tree_size
@@ -41,6 +45,17 @@ def test_twin_classes():
     assert sorted(map(sorted, _twin_classes(star_graph(4)))) == [[1, 2, 3]]
     assert sorted(map(sorted, _twin_classes(path_graph(3)))) == [[0, 2]]
     assert _twin_classes(cycle_graph(5)) == []
+
+
+def test_automorphisms_skip_twin_permutations():
+    # star_graph(10) has 9! automorphisms and K_10 has 10!, all twin
+    # permutations, so neither has a coset besides the identity's.
+    start = time.perf_counter()
+    assert _automorphisms(star_graph(10)) == []
+    assert _automorphisms(complete_graph(10)) == []
+    assert time.perf_counter() - start < 1
+    assert _automorphisms(path_graph(6)) == [(5, 4, 3, 2, 1, 0)]
+    assert len(_automorphisms(cycle_graph(5))) == 9
 
 
 def test_oracle_examples():
@@ -128,6 +143,38 @@ def test_search_and_its_table_are_freed_on_return(monkeypatch):
     finally:
         if was_enabled:
             gc.enable()
+
+
+def test_refuted_states_are_refuted_in_every_mirrored_form(monkeypatch):
+    # A state refuted at some slack cannot finish from any image of it under
+    # an automorphism either, so each image's entry is at least as large.
+    searches = []
+
+    class Kept(brute._Search):
+        def __init__(self, g, p):
+            super().__init__(g, p)
+            searches.append(self)
+
+    monkeypatch.setattr(brute, "_Search", Kept)
+    for g, n_aut in ((grid_graph(2, 3), 4), (path_graph(6), 2)):
+        h = nx.Graph(list(g.edges))
+        auts = list(GraphMatcher(h, h).isomorphisms_iter())
+        assert len(auts) == n_aut
+        for tc, tm in [(1, 1), (2, 1), (1, 2)]:
+            brute_opt(g, NetworkParams(tc, tm), force=True)
+            search = searches.pop()
+            refuted = 0
+            for key, need in search.need.items():
+                total = sum(count + len(incoming) for count, _, incoming in key)
+                if need == search._lower_bound(key, total):
+                    continue  # never refuted
+                refuted += 1
+                for aut in auts:
+                    image = [None] * g.n
+                    for v, rec in enumerate(key):
+                        image[aut[v]] = rec
+                    assert search.need.get(search._canon(tuple(image)), 0) >= need
+            assert refuted
 
 
 def test_no_schedule_within_limit():

@@ -98,6 +98,9 @@ def test_complete_graph_equals_graph_over_all_pairs():
         assert not any(h.has_edge(u, v) or h.has_edge(v, u) for h in (got, want)
                        for u in (-2, -1, n, n + 1) for v in range(-2, n + 2))
         assert (got.radius(), got.diameter()) == (want.radius(), want.diameter())
+        assert got.max_degree() == want.max_degree()
+        assert got.is_connected() and want.is_connected()
+        assert all(got.bfs_distances(v) == want.bfs_distances(v) for v in range(n))
         for p in (P11, NetworkParams(2, 3)):
             assert lower_bounds(got, p) == lower_bounds(want, p)
             assert trivial_upper_bound(got, p) == trivial_upper_bound(want, p)
@@ -137,10 +140,12 @@ def test_validating_on_complete_graph_never_builds_its_neighbour_sets():
         report = validate_schedule(g, P11, opt_complete(2000, P11))
         bounds = lower_bounds(g, P11)
         edge = g.has_edge(0, 1)
+        queries = g.max_degree(), g.is_connected(), g.bfs_distances(7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert report.valid and bounds == (11, 1, 11) and edge
+    assert queries == (1999, True, [1] * 7 + [0] + [1] * 1992)
     assert "adj" not in vars(g)
     assert peak < 5e6  # K_2000's neighbour sets alone take about 130 MB
 

@@ -5,7 +5,9 @@ scheduler outputs and one-action mutations of them.  On graphs small enough
 for the oracle, the lower bound, the oracle and solve_tc come in that order,
 and the oracle's search finds the same at every horizon whether or not it
 carries its table over from the horizons before, and the same as the
-reference search in `brute_reference.py`.  Greedy aggregation on a
+reference search in `brute_reference.py`, on random draws and on graphs
+with automorphisms; `_automorphisms` lists one map per coset of the twin
+permutations, as many as networkx's count implies.  Greedy aggregation on a
 labelled tree from any valid starting holdings ends with one token at the
 root.  The left shift keeps every scheduler's output valid and no longer:
 it leaves opt_complete and solve_tc as they are and brute_opt's optimum at
@@ -13,14 +15,16 @@ its length.  Distances and domination agree with networkx.
 """
 
 from itertools import combinations
+from math import factorial, prod
 
 import networkx as nx
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from networkx.algorithms.isomorphism import GraphMatcher
 
 from brute_reference import ReferenceSearch
 from tokensched.approx import _fallback_pairing, solve_tc
-from tokensched.brute import _Search, brute_opt
+from tokensched.brute import _automorphisms, _Search, _twin_classes, brute_opt
 from tokensched.complete import build_tree, opt_complete, prune_tree, r_star, tree_schedule
 from tokensched.domset import (
     is_dominating_set,
@@ -43,6 +47,7 @@ from tokensched.core import (
     simulate,
     validate_schedule,
 )
+from tokensched.generators import complete_graph, cycle_graph, grid_graph, path_graph, star_graph
 
 # brute_opt takes 0.27 s on the median 6-node graph and up to 11 s (30 random
 # draws at costs <= 3, 2-core VM), so the oracle strategies stop at 5 nodes.
@@ -265,11 +270,25 @@ def test_lower_bound_oracle_and_solve_tc_in_order(inst, seed):
     assert lower_bounds(g, p)[2] <= opt <= solve_tc(g, p, seed=seed).length
 
 
+K23 = Graph(5, [(u, v) for u in (0, 1) for v in (2, 3, 4)])
+
+
+def on_symmetric_instances(test):
+    """`test` with explicit examples on graphs that have automorphisms, which
+    random draws rarely do: path5, cycle5, C4, star5 and K_{2,3}, each at
+    (t_c, t_m) = (1, 2), (2, 1) and (1, 3)."""
+    for g in (path_graph(5), cycle_graph(5), cycle_graph(4), star_graph(5), K23):
+        for tc, tm in ((1, 2), (2, 1), (1, 3)):
+            test = example((g, NetworkParams(tc, tm)))(test)
+    return test
+
+
 # Fresh searches re-prove every horizon below OPT: on 5-node graphs at
 # t_m = 3 an example takes 0.16 s at the median and up to 1.8 s (60 random
 # draws, 2-core VM).
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(oracle_instances(max_n=5))
+@on_symmetric_instances
 def test_search_table_is_sound_across_horizons(inst):
     """One search run at L = lb, lb + 1, ..., OPT finds what a fresh search
     finds at each L: nothing below OPT, the same actions at OPT."""
@@ -289,6 +308,7 @@ def test_search_table_is_sound_across_horizons(inst):
 # runs fewer examples.
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(oracle_instances())
+@on_symmetric_instances
 def test_search_matches_the_reference_search(inst):
     """The search finds what the reference search finds at every horizon
     from the lower bound to OPT, each keeping its table across horizons as
@@ -305,9 +325,39 @@ def test_search_matches_the_reference_search(inst):
 
 
 @st.composite
-def small_graphs(draw):
-    """A connected graph with 1 <= n <= 8."""
-    return connected_graph(draw, draw(st.integers(1, 8)))
+def small_graphs(draw, max_n: int = 8):
+    """A connected graph with 1 <= n <= max_n."""
+    return connected_graph(draw, draw(st.integers(1, max_n)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graphs(max_n=7))
+@example(grid_graph(2, 3))
+@example(cycle_graph(6))
+@example(K23)
+@example(star_graph(7))
+@example(complete_graph(7))
+def test_automorphisms_are_one_per_twin_coset(g):
+    """Each map `_automorphisms` returns is an automorphism, no two share a
+    coset of the twin permutations nor share the identity's, and with the
+    identity they account for every automorphism networkx finds."""
+    edges = {frozenset(e) for e in g.edges}
+    rep_of = list(range(g.n))  # each vertex's twin class, by its first member
+    classes = _twin_classes(g)
+    for cls in classes:
+        for v in cls:
+            rep_of[v] = cls[0]
+    reps = _automorphisms(g)
+    for aut in reps:
+        assert sorted(aut) == list(range(g.n))
+        assert {frozenset((aut[u], aut[v])) for u, v in g.edges} == edges
+    cosets = {tuple(rep_of[u] for u in aut) for aut in [range(g.n), *reps]}
+    assert len(cosets) == len(reps) + 1
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    n_aut = sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter())
+    assert len(cosets) * prod(factorial(len(cls)) for cls in classes) == n_aut
 
 
 @settings(max_examples=100, deadline=None)
