@@ -16,8 +16,10 @@ graph with no automorphism but the identity the table holds exact states.
 
 `brute_opt` deepens the horizon from the lower bound with one search, whose
 table maps each canonical state to a proven minimum of the rounds it still
-needs.  A state refuted at one horizon is never re-proved at the next, and a
-state seen at an earlier round within one horizon is cut at the later ones.
+needs, starting from bounds that include the K_n tree bound: h nodes holding
+tokens need r_star(h) rounds on any graph (see `_Search._lower_bound`).  A
+state refuted at one horizon is never re-proved at the next, and a state
+seen at an earlier round within one horizon is cut at the later ones.
 
 Most children are cut by that table at once, so a child costs little until it
 is expanded: one recursive enumeration builds each round's action sets in
@@ -31,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
+from .complete import r_star
 from .core import (
     COMPUTE,
     SEND,
@@ -149,9 +152,11 @@ class _Search:
     found are those of a search without the table.
     """
 
-    def __init__(self, g: Graph, p: NetworkParams):
+    def __init__(self, g: Graph, p: NetworkParams, tree_bound: bool = True):
         self.g = g
         self.p = p
+        # Rounds that h holders need at least, by the K_n tree bound.
+        self.tree = [0] + [r_star(h, p) if tree_bound else 0 for h in range(1, g.n + 1)]
         self.merge = [(COMPUTE, v, -1) for v in range(g.n)]
         self.sends = [tuple((SEND, v, u) for u in sorted(g.adj[v])) for v in range(g.n)]
         self.dist = [g.bfs_distances(v) for v in range(g.n)]
@@ -162,7 +167,7 @@ class _Search:
         # over the same cosets.
         self.images = [itemgetter(*aut) for aut in _automorphisms(g)]
         self.need = {}  # canonical state -> proven minimum slack
-        self.gather = {}  # token locations -> hops to gather them at one node
+        self.by_place = {}  # token locations -> rounds they need by place alone
         self.recs = {}  # interned node records, shared by the table's keys
 
     # A state at the start of a round is a tuple over nodes of
@@ -181,16 +186,32 @@ class _Search:
         return tuple(canon)
 
     def _lower_bound(self, state, total: int) -> int:
-        """Rounds a state holding `total` >= 2 tokens still needs, at least."""
+        """Rounds a state holding `total` >= 2 tokens still needs, at least.
+
+        Besides merge depth, busy time and the hops to gather the tokens,
+        it is the tree bound `r_star(h)` for the h holders, the nodes that
+        hold a token or have one in flight to them, on any graph.  Landing
+        every in-flight token now, freeing every node and keeping one token
+        per holder only drops constraints and tokens (a dropped token's
+        sends are skipped, as is a merge that loses an operand), so finishing
+        gets no later.  From h lone tokens, a token that exists after t
+        rounds holds at most `tree_size(t)` originals, by induction on t: a
+        token formed at z merges z's own token with arrivals there, which fit
+        the same slots in arrival order, so its last merge, ending at round
+        e, joins a token that existed after e - t_c rounds with an arrival
+        that existed after e - t_c - t_m, and none fits below t_c + t_m.
+        Finishing thus needs `tree_size(slack) >= h`.
+        """
         locs = tuple(v for v, rec in enumerate(state) if rec[0] or rec[2])
-        gather = self.gather.get(locs)
-        if gather is None:
-            gather = self.gather[locs] = min(
-                max(self.dist[u][v0] for u in locs) for v0 in range(self.g.n)
+        by_place = self.by_place.get(locs)
+        if by_place is None:
+            gather = min(max(self.dist[u][v0] for u in locs) for v0 in range(self.g.n))
+            by_place = self.by_place[locs] = max(
+                gather * self.p.t_m + self.p.t_c, self.tree[len(locs)]
             )
         return max(
             self.p.t_c * ceil_log2(total),
-            gather * self.p.t_m + self.p.t_c,
+            by_place,
             max(rec[1] for rec in state),
         )
 
@@ -375,8 +396,10 @@ def n_star_table(R_max: int, p: NetworkParams, max_n: int = 6) -> list:
     from .generators import complete_graph
 
     # One search per candidate K_{n+1}, run at increasing R, so each keeps
-    # the states it has refuted.
-    searches = {k: _Search(complete_graph(k), p) for k in range(2, max_n + 1)}
+    # the states it has refuted.  The searches run without the tree bound:
+    # the table verifies the tree recurrence, so it must not assume it.
+    searches = {k: _Search(complete_graph(k), p, tree_bound=False)
+                for k in range(2, max_n + 1)}
     rows = []
     n = 1
     for R in range(R_max + 1):

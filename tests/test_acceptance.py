@@ -27,12 +27,13 @@ from tokensched.approx import (
     solve_flow_lp,
     solve_tc,
 )
-from tokensched.brute import brute_opt, extract_opt_paths, n_star_table
+from tokensched.brute import _Search, brute_opt, extract_opt_paths, n_star_table
 from tokensched.cli import cli_dispatch
 from tokensched.complete import (
     build_tree,
     greedy_schedule,
     opt_complete,
+    r_star,
     tree_size,
 )
 from tokensched.domset import (
@@ -97,6 +98,10 @@ def test_criterion_2_optimality_at_desk_scale():
             oracle = brute_opt(complete_graph(n), p)
             assert opt.length == oracle.opt_length, (tc, tm, n)
             assert validate_schedule(complete_graph(n), p, opt).valid
+            # brute_opt's search assumes the tree bound, so the comparison
+            # alone would be circular: refute the shorter horizon without it.
+            free = _Search(complete_graph(n), p, tree_bound=False)
+            assert free.run(r_star(n, p) - 1) is None, (tc, tm, n)
     _ok(2, "tree schedule length equals the exhaustive optimum, n <= 5")
 
 

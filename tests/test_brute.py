@@ -177,6 +177,34 @@ def test_refuted_states_are_refuted_in_every_mirrored_form(monkeypatch):
             assert refuted
 
 
+def test_tree_bound_refutes_the_start_state_of_k5():
+    # Five lone tokens need r_star(5) = 6 rounds at (1, 2), where merge depth
+    # (3) and gathering (1 hop, then a merge: 3) allow 3, so horizon 5 is
+    # refuted at the root, with the start state the only entry.
+    p = NetworkParams(1, 2)
+    search = brute._Search(complete_graph(5), p)
+    start = ((1, 0, ()),) * 5
+    assert search._lower_bound(start, 5) == r_star(5, p) == 6
+    assert search.run(5) is None
+    assert search.need == {start: 6}
+
+
+def test_n_star_table_searches_without_the_tree_bound(monkeypatch):
+    # The table verifies the tree recurrence, so its searches must not
+    # assume it.
+    tree_bounds = []
+
+    class Recorded(brute._Search):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            tree_bounds.append(self.tree)
+
+    monkeypatch.setattr(brute, "_Search", Recorded)
+    assert n_star_table(4, P11) == [(0, 1), (1, 1), (2, 2), (3, 3), (4, 5)]
+    assert len(tree_bounds) == 5
+    assert not any(map(any, tree_bounds))
+
+
 def test_no_schedule_within_limit():
     with pytest.raises(NoScheduleWithinLimitError):
         brute_opt(path_graph(3), P11, limit=2, force=True)

@@ -6,18 +6,21 @@ for the oracle, the lower bound, the oracle and solve_tc come in that order,
 and the oracle's search finds the same at every horizon whether or not it
 carries its table over from the horizons before, and the same as the
 reference search in `brute_reference.py`, on random draws and on graphs
-with automorphisms; `_automorphisms` lists one map per coset of the twin
-permutations, as many as networkx's count implies.  Greedy aggregation on a
-labelled tree from any valid starting holdings ends with one token at the
-root.  The left shift keeps every scheduler's output valid and no longer:
-it leaves opt_complete and solve_tc as they are and brute_opt's optimum at
-its length.  Distances and domination agree with networkx.
+with automorphisms.  The search's tree bound never exceeds the slack a state
+needs, as found without it, and is exact for lone tokens on K_N with empty
+nodes.  `_automorphisms` lists one map per coset of the twin permutations,
+as many as networkx's count implies.  Greedy aggregation on a labelled tree
+from any valid starting holdings ends with one token at the root.  The left
+shift keeps every scheduler's output valid and no longer: it leaves
+opt_complete and solve_tc as they are and brute_opt's optimum at its length.
+Distances and domination agree with networkx.
 """
 
 from itertools import combinations
 from math import factorial, prod
 
 import networkx as nx
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
@@ -49,9 +52,9 @@ from tokensched.core import (
 )
 from tokensched.generators import complete_graph, cycle_graph, grid_graph, path_graph, star_graph
 
-# brute_opt takes 0.27 s on the median 6-node graph and up to 11 s (30 random
-# draws at costs <= 3, 2-core VM), so the oracle strategies stop at 5 nodes.
-BRUTE_MAX_NODES = 5
+# brute_opt takes 3 ms on the median 6-node graph and up to 0.27 s (30 random
+# draws at costs <= 3, 2-core VM), so the oracle strategies go to 6 nodes.
+BRUTE_MAX_NODES = 6
 
 
 def connected_graph(draw, n: int, spanning=None) -> Graph:
@@ -283,11 +286,11 @@ def on_symmetric_instances(test):
     return test
 
 
-# Fresh searches re-prove every horizon below OPT: on 5-node graphs at
-# t_m = 3 an example takes 0.16 s at the median and up to 1.8 s (60 random
+# Fresh searches re-prove every horizon below OPT: on 6-node graphs at
+# t_m = 3 an example takes 0.05 s at the median and up to 0.7 s (60 random
 # draws, 2-core VM).
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(oracle_instances(max_n=5))
+@given(oracle_instances())
 @on_symmetric_instances
 def test_search_table_is_sound_across_horizons(inst):
     """One search run at L = lb, lb + 1, ..., OPT finds what a fresh search
@@ -305,14 +308,19 @@ def test_search_table_is_sound_across_horizons(inst):
 
 # The reference search runs at the speed the search had before it built its
 # children in place, up to seconds per example at n = 5 and t_m = 3, so this
-# runs fewer examples.
+# runs fewer examples and stays at 5 nodes.
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(oracle_instances())
+@given(oracle_instances(max_n=5))
 @on_symmetric_instances
+@example((complete_graph(4), NetworkParams(1, 3)))
+@example((complete_graph(4), NetworkParams(3, 1)))
+@example((complete_graph(5), NetworkParams(1, 3)))
+@example((complete_graph(5), NetworkParams(3, 1)))
 def test_search_matches_the_reference_search(inst):
     """The search finds what the reference search finds at every horizon
     from the lower bound to OPT, each keeping its table across horizons as
-    brute_opt does."""
+    brute_opt does.  The reference has no tree bound, so on K_4 and K_5 the
+    horizons the search refutes at its root are proved by exhaustion."""
     g, p = inst
     search, reference = _Search(g, p), ReferenceSearch(g, p)
     L = lower_bounds(g, p)[2]
@@ -322,6 +330,49 @@ def test_search_matches_the_reference_search(inst):
         if found is not None:
             break
         L += 1
+
+
+def exact_need(search: _Search, state, total: int) -> int:
+    """The least slack from which `search` finishes from `state`, which
+    holds `total` tokens."""
+    slack = 0
+    while search._dfs(slack, (), list(state), 0, [], total) is None:
+        slack += 1
+    return slack
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(oracle_instances(max_n=5), st.data())
+def test_tree_bound_never_exceeds_the_exact_need(inst, data):
+    """On states a search without the tree bound meets on its way to OPT,
+    the bound with it is at most the slack they need, as found by searches
+    without it at increasing slack."""
+    g, p = inst
+    free = _Search(g, p, tree_bound=False)
+    L = lower_bounds(g, p)[2]
+    while free.run(L) is None:
+        L += 1
+    states = data.draw(st.lists(st.sampled_from(list(free.need)), min_size=1,
+                                max_size=8, unique=True))
+    bounded, exact = _Search(g, p), _Search(g, p, tree_bound=False)
+    for state in states:
+        total = sum(count + len(incoming) for count, _, incoming in state)
+        assert bounded._lower_bound(state, total) <= exact_need(exact, state, total)
+
+
+@pytest.mark.parametrize("tc,tm", [(1, 1), (2, 1), (1, 2), (3, 1), (1, 3)])
+def test_tree_bound_is_exact_on_k_n_with_empty_nodes(tc, tm):
+    """h lone tokens on K_N, the other N - h nodes empty: the tree on the
+    holders alone finishes in r_star(h) rounds, and empty relays do not
+    help, so the bound is the exact need."""
+    p = NetworkParams(tc, tm)
+    for N in range(2, 6):
+        g = complete_graph(N)
+        bounded, exact = _Search(g, p), _Search(g, p, tree_bound=False)
+        for h in range(2, N + 1):
+            state = ((1, 0, ()),) * h + ((0, 0, ()),) * (N - h)
+            assert bounded._lower_bound(state, h) == r_star(h, p)
+            assert exact_need(exact, state, h) == r_star(h, p)
 
 
 @st.composite
