@@ -12,7 +12,12 @@ own token.  So the flow is first built combinatorially, one path per holder
 from a max-flow (_certified_flow); if that reaches z = 2 within D = diameter
 steps it is an LP optimum, and no LP is solved.  Otherwise (an odd holder
 count, a holder left unrouted, a path over D hops) the LP is built and
-solved with HiGHS, as on star-like graphs where holders block each other.
+solved with HiGHS, as on star-like graphs where holders block each other,
+at L = D, 2D, 4D, ... in turn.  Each vertex c bounds z at every L from
+below: every component of G - c holding a lone holder sends that holder's
+unit into c, which also keeps its own token if it holds one.  The scan stops
+once t_m * L plus min(t_c, t_m) times that bound reaches the best objective
+found, since no later L could then win.
 
 Routing delays merges when computation dominates (t_c > t_m) and merges
 eagerly en route otherwise.  Both routers run in lock step, one send per
@@ -324,6 +329,55 @@ def _certified_flow(g: Graph, W, L: int) -> FlowSolution | None:
     return FlowSolution(g, W, L, 2.0, flows, method="certified")
 
 
+def _forced_inflow(g: Graph, W) -> int:
+    """A lower bound on the congestion z of build_flow_lp(g, W, L), whatever
+    L: max(2, max over vertices c of [c in W] + the number of components of
+    G - c holding exactly one holder).  g must be connected.
+
+    Such a lone holder's unit must reach another holder, all of which lie
+    outside its component, so it enters c (and ends there when c is a
+    holder).  c's capacity row counts all that inflow plus c's resident
+    token, so z >= the count at c for every L.  One iterative low-link DFS
+    from vertex 0 finds, for each c, its DFS children whose subtrees G - c
+    cuts off (low[child] >= disc[c]) and their holder counts; what remains
+    of G - c, the part through c's parent, holds the other holders.  O(n + m).
+    """
+    wset = set(W)
+    disc = [-1] * g.n
+    low = [0] * g.n
+    held = [0] * g.n  # holders in v's DFS subtree
+    cut_off = [0] * g.n  # holders in the subtrees G - v separates from v's parent
+    lone = [0] * g.n  # of those subtrees, the ones holding exactly one holder
+    parent = [-1] * g.n
+    disc[0], held[0] = 0, int(0 in wset)
+    stack = [(0, iter(g.adj[0]))]
+    while stack:
+        u, nbrs = stack[-1]
+        for v in nbrs:
+            if disc[v] < 0:
+                parent[v] = u
+                disc[v] = low[v] = len(stack)  # its depth: only ancestors are compared
+                held[v] = int(v in wset)
+                stack.append((v, iter(g.adj[v])))
+                break
+            low[u] = min(low[u], disc[v])
+        else:
+            stack.pop()
+            p = parent[u]
+            if p >= 0:
+                low[p] = min(low[p], low[u])
+                held[p] += held[u]
+                if low[u] >= disc[p]:
+                    cut_off[p] += held[u]
+                    lone[p] += held[u] == 1
+    total = len(wset)
+    bound = 2
+    for c in range(g.n):
+        own = int(c in wset)
+        bound = max(bound, own + lone[c] + (total - own - cut_off[c] == 1))
+    return bound
+
+
 def choose_L(g: Graph, W, p: NetworkParams):
     """Pick the step count minimizing t_m * L + min(t_c, t_m) * z(L) over the
     geometric grid {D, 2D, 4D, ...} up to xi, plus xi itself.
@@ -332,9 +386,12 @@ def choose_L(g: Graph, W, p: NetworkParams):
     at its own source, so some holder takes a unit on top of its resident
     token.  An integral flow with z = 2 at L = D (_certified_flow) is thus
     optimal there, and every later grid point already loses on t_m * L, so
-    it is returned without an LP.  Otherwise the LPs are built and solved:
-    z(L) is nonincreasing in L, so once t_m * L alone reaches the best
-    objective seen, no later grid point can win and the scan stops.
+    it is returned without an LP.  Otherwise the LPs are built and solved in
+    grid order, and the scan stops at the first L where
+    t_m * L + min(t_c, t_m) * z_low reaches the best objective seen, z_low
+    being _forced_inflow's bound on z(L) for every L: from there on every
+    grid point's objective is at least the best, and only one lower by more
+    than LP_TOLERANCE would replace it, so the skipped LPs change nothing.
     """
     d = max(1, g.diameter())
     flow = _certified_flow(g, W, d)
@@ -348,9 +405,10 @@ def choose_L(g: Graph, W, p: NetworkParams):
         L *= 2
     grid.append(xi)
     weight = min(p.t_c, p.t_m)
+    floor = weight * _forced_inflow(g, W)
     best = None  # (objective, L, solution)
     for L in grid:
-        if best is not None and p.t_m * L >= best[0]:
+        if best is not None and p.t_m * L + floor >= best[0]:
             break
         sol = solve_flow_lp(build_flow_lp(g, W, L))
         obj = p.t_m * L + weight * sol.z
@@ -359,9 +417,9 @@ def choose_L(g: Graph, W, p: NetworkParams):
     return best[1], best[2]
 
 
-def _walk(flow: FlowSolution, w: int, rng) -> tuple | None:
-    """One random walk on w's flow, stopping at the first other holder."""
-    wset = set(flow.W)
+def _walk(flow: FlowSolution, w: int, wset: set, rng) -> tuple | None:
+    """One random walk on w's flow, stopping at the first other holder of
+    wset, the flow's holders."""
     path = [w]
     u, step = w, 0
     while step < flow.steps:
@@ -399,13 +457,17 @@ def sample_paths(flow: FlowSolution, L_hat: int, W, seed: int) -> tuple:
     n = flow.graph.n
     n_samples = math.ceil(4 * math.log2(max(n, 2))) + 1
     threshold = 10.0 * flow.z * math.log2(max(L_hat, 2))
+    wset = set(flow.W)
     best_kept = ()
     for i in range(n_samples):
         sample = []
         for w in W:
-            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i, w)))
+            # The same stream as default_rng(SeedSequence(...)).
+            rng = np.random.Generator(
+                np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i, w)))
+            )
             for _ in range(WALK_RETRIES):
-                walk = _walk(flow, w, rng)
+                walk = _walk(flow, w, wset, rng)
                 if walk is not None:
                     sample.append(tuple(excise_loops(walk)))
                     break

@@ -150,26 +150,63 @@ class Graph:
         return all(d >= 0 for d in self.bfs_distances(0))
 
     @cached_property
-    def _eccentricities(self) -> tuple:
-        """All-pairs BFS, run once per graph (graphs are immutable); on K_n,
-        1 everywhere (0 for n = 1) without a search."""
-        if self.is_complete():
-            return (min(self.n - 1, 1),) * self.n
-        eccs = []
-        for v in range(self.n):
-            dist = self.bfs_distances(v)
-            if any(d < 0 for d in dist):
-                raise DisconnectedGraphError(
-                    "graph is disconnected; aggregation to one token is unsolvable"
-                )
-            eccs.append(max(dist))
-        return tuple(eccs)
+    def _eccs(self) -> dict:
+        """v -> eccentricity, for every v a search has run from: radius()
+        and diameter() share it, so no vertex is searched twice."""
+        return {}
+
+    def _search(self, v: int) -> list:
+        """bfs_distances(v), recording v's eccentricity; raises
+        DisconnectedGraphError when some node is unreachable."""
+        dist = self.bfs_distances(v)
+        if min(dist) < 0:
+            raise DisconnectedGraphError(
+                "graph is disconnected; aggregation to one token is unsolvable"
+            )
+        self._eccs[v] = max(dist)
+        return dist
+
+    def _ecc(self, v: int) -> int:
+        if v not in self._eccs:
+            self._search(v)
+        return self._eccs[v]
 
     def radius(self) -> int:
-        return min(self._eccentricities)
+        """The least eccentricity, by a search from every node; on K_n, 1
+        (0 for n = 1) without a search."""
+        if self.is_complete():
+            return min(self.n - 1, 1)
+        return min(map(self._ecc, range(self.n)))
+
+    @cached_property
+    def _diameter(self) -> int:
+        if self.is_complete():
+            return min(self.n - 1, 1)
+        if len(self._eccs) == self.n:
+            return max(self._eccs.values())
+        # iFUB (Crescenzi et al., TCS 2013).  A 2-sweep, 0 -> a -> b, finds u
+        # halfway along a shortest a-b path.  Two nodes at most i hops from u
+        # are at most 2i apart, so once the largest eccentricity seen reaches
+        # twice the level of the next node, in u's levels from the deepest
+        # up, no unseen pair can be farther apart.
+        from_0 = self._search(0)
+        a = from_0.index(max(from_0))
+        from_a = self._search(a)
+        u = b = from_a.index(max(from_a))
+        while from_a[u] > from_a[b] // 2:
+            u = min(x for x in self.adj[u] if from_a[x] == from_a[u] - 1)
+        level = from_0 if u == 0 else from_a if u == a else self._search(u)
+        lb = max(self._eccs.values())
+        for x in sorted(range(self.n), key=lambda x: -level[x]):
+            if lb >= 2 * level[x]:
+                break
+            lb = max(lb, self._ecc(x))
+        return lb
 
     def diameter(self) -> int:
-        return max(self._eccentricities)
+        """The largest eccentricity, by iFUB: on most graphs far fewer
+        searches than nodes, never more; none after radius()."""
+        return self._diameter
 
 
 @dataclass(frozen=True)

@@ -54,14 +54,12 @@ def gnp_connected(n: int, p: float, seed: int, max_tries: int = 1000) -> Graph:
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     for _ in range(max_tries):
-        edges = [
-            (u, v)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if rng.random() < p
-        ]
-        g = Graph(n, edges)
+        # One draw per pair in this order, the same doubles as one
+        # rng.random() call per pair.
+        coins = rng.random(len(pairs)).tolist()
+        g = Graph(n, [e for e, coin in zip(pairs, coins) if coin < p])
         if g.is_connected():
             return g
     raise RuntimeError(f"no connected G({n}, {p}) sample in {max_tries} tries")

@@ -1,12 +1,16 @@
-"""The certified congestion-2 path system that stands in for the flow LP.
+"""The certified congestion-2 path system that stands in for the flow LP,
+and the cut-vertex bound on z that ends `choose_L`'s scan.
 
 With the LP as oracle: every flow `_certified_flow` returns is a feasible
 point of `build_flow_lp(g, W, D)` at z = 2, and the LP's own optimum there is
 2.  Where no certificate exists, `choose_L` returns the LP's answer; where
-one does, `solve_tc` never needs the LP at all.
+one does, `solve_tc` never needs the LP at all.  `_forced_inflow` meets its
+definition and never exceeds the LP's z, and the scan it stops picks the
+same step count and flow as a scan that assumes only z >= 0.
 """
 
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,10 +21,12 @@ from tokensched import approx
 from tokensched.approx import (
     LP_TOLERANCE,
     _certified_flow,
+    _forced_inflow,
     build_flow_lp,
     choose_L,
     solve_flow_lp,
     solve_tc,
+    xi_bound,
 )
 from tokensched.core import Graph, NetworkParams, validate_schedule
 from tokensched.generators import grid_graph, path_graph, star_graph
@@ -81,6 +87,90 @@ def test_certified_flow_is_an_lp_optimum(inst):
         assert not set(path[1:-1]) & set(W)
         assert all(g.has_edge(u, v) for u, v in zip(path, path[1:]))
     assert sorted(path[-1] for path in paths.values()) == W  # one unit each
+
+
+def forced_inflow_reference(g, W) -> int:
+    """_forced_inflow by its definition: one search of G - c per vertex c,
+    counting the components that hold exactly one holder."""
+    best = 2
+    for c in range(g.n):
+        seen = {c}
+        lone = 0
+        for s in range(g.n):
+            if s in seen:
+                continue
+            seen.add(s)
+            component = [s]
+            for u in component:
+                for v in g.adj[u]:
+                    if v not in seen:
+                        seen.add(v)
+                        component.append(v)
+            lone += sum(v in W for v in component) == 1
+        best = max(best, (c in W) + lone)
+    return best
+
+
+def choose_L_reference(g, W, p):
+    """choose_L solving the LP at every grid point where t_m * L alone is
+    below the best objective so far, so it assumes no more than z >= 0: the
+    first strict improvement by more than LP_TOLERANCE wins.  (Past those
+    points it would pick the same; solving them too takes HiGHS seconds on
+    some draws.)"""
+    d = max(1, g.diameter())
+    flow = approx._certified_flow(g, W, d)
+    if flow is not None:
+        return d, flow
+    xi = xi_bound(g, p)
+    grid = []
+    L = d
+    while L < xi:
+        grid.append(L)
+        L *= 2
+    weight = min(p.t_c, p.t_m)
+    best = None
+    for L in grid + [xi]:
+        if best is not None and p.t_m * L >= best[0]:
+            break
+        sol = solve_flow_lp(build_flow_lp(g, W, L))
+        obj = p.t_m * L + weight * sol.z
+        if best is None or obj < best[0] - LP_TOLERANCE:
+            best = (obj, L, sol)
+    return best[1], best[2]
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(holder_instances(), st.sampled_from([(1, 1), (1, 2), (2, 1), (1, 3)]))
+def test_forced_inflow_bound_keeps_the_scan(inst, costs):
+    g, W = inst
+    bound = _forced_inflow(g, W)
+    assert bound == forced_inflow_reference(g, set(W))
+    d = max(1, g.diameter())
+    for L in (d, 2 * d):
+        assert bound <= solve_flow_lp(build_flow_lp(g, W, L)).z + LP_TOLERANCE
+    p = NetworkParams(*costs)
+    L, sol = choose_L(g, W, p)
+    ref_L, ref = choose_L_reference(g, W, p)
+    assert (L, sol.method, sol.z, sol.flows) == (ref_L, ref.method, ref.z, ref.flows)
+    # Most draws are certified; the scan runs on every draw without it.
+    with mock.patch.object(approx, "_certified_flow", lambda g, W, L: None):
+        L, sol = choose_L(g, W, p)
+        ref_L, ref = choose_L_reference(g, W, p)
+    event(f"scan: z = {sol.z:g}, bound = {bound}, L = {L // d} D")
+    assert (L, sol.z, sol.flows) == (ref_L, ref.z, ref.flows)
+
+
+def test_star_scan_stops_after_one_lp(monkeypatch):
+    # Every leaf's unit enters the hub, which holds its own token: z >= 30
+    # at every L, and the first LP meets it, so no later L can win.
+    solved = []
+    monkeypatch.setattr(approx, "solve_flow_lp", lambda lp: solved.append(lp) or solve_flow_lp(lp))
+    g = star_graph(30)
+    W = list(range(30))
+    assert _forced_inflow(g, W) == 30
+    L, sol = choose_L(g, W, NetworkParams(1, 2))
+    assert [lp.steps for lp in solved] == [L] == [g.diameter()]
+    assert sol.z == pytest.approx(30.0, abs=LP_TOLERANCE)
 
 
 def test_certificate_pairs_off_a_path_and_a_grid():

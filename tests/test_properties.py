@@ -13,7 +13,8 @@ as many as networkx's count implies.  Greedy aggregation on a labelled tree
 from any valid starting holdings ends with one token at the root.  The left
 shift keeps every scheduler's output valid and no longer: it leaves
 opt_complete and solve_tc as they are and brute_opt's optimum at its length.
-Distances and domination agree with networkx.
+Distances and domination agree with networkx, with the diameter found
+before or after the radius.
 """
 
 from itertools import combinations
@@ -411,18 +412,35 @@ def test_automorphisms_are_one_per_twin_coset(g):
     assert len(cosets) * prod(factorial(len(cls)) for cls in classes) == n_aut
 
 
+@st.composite
+def graphs_with_members(draw):
+    """A small connected graph and a set of its nodes."""
+    g = draw(small_graphs())
+    return g, draw(st.sets(st.integers(0, g.n - 1)))
+
+
 @settings(max_examples=100, deadline=None)
-@given(small_graphs(), st.data())
-def test_distances_and_domination_match_networkx(g, data):
+@given(graphs_with_members())
+@example((cycle_graph(10), {0, 3, 6}))
+@example((cycle_graph(11), {1, 5}))
+@example((path_graph(9), {1, 4, 7}))
+def test_distances_and_domination_match_networkx(inst):
+    g, members = inst
     h = nx.Graph()
     h.add_nodes_from(range(g.n))
     h.add_edges_from(g.edges)
+    # diameter() first, on a graph no search has run on, takes the iFUB
+    # path; radius() then searches the rest.  No node is searched twice.
+    fresh = Graph(g.n, g.edges)
+    searched = []
+    bfs = fresh.bfs_distances
+    fresh.bfs_distances = lambda v: searched.append(v) or bfs(v)
+    assert fresh.diameter() == nx.diameter(h)
+    assert fresh.radius() == nx.radius(h)
+    assert len(searched) == len(set(searched)) <= g.n
     for v in range(g.n):
         dist = nx.single_source_shortest_path_length(h, v)
         assert g.bfs_distances(v) == [dist[u] for u in range(g.n)]
-    assert g.radius() == nx.radius(h)
-    assert g.diameter() == nx.diameter(h)
-    members = data.draw(st.sets(st.integers(0, g.n - 1)))
     assert is_dominating_set(g, members) == nx.is_dominating_set(h, members)
     ds = min_dominating_set(g)
     assert nx.is_dominating_set(h, ds.members)
