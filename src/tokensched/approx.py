@@ -15,7 +15,8 @@ count, a holder left unrouted, a path over D hops) the LP is built and
 solved with HiGHS, as on star-like graphs where holders block each other,
 at L = D, 2D, 4D, ... in turn.  Each vertex c bounds z at every L from
 below: every component of G - c holding a lone holder sends that holder's
-unit into c, which also keeps its own token if it holds one.  The scan stops
+unit into c, which also keeps its own token if it holds one.  A bound above
+2 rules the certificate out, so no max-flow is run for it.  The scan stops
 once t_m * L plus min(t_c, t_m) times that bound reaches the best objective
 found, since no later L could then win.
 
@@ -354,18 +355,21 @@ def _forced_inflow(g: Graph, W) -> int:
     while stack:
         u, nbrs = stack[-1]
         for v in nbrs:
-            if disc[v] < 0:
+            d = disc[v]
+            if d < 0:
                 parent[v] = u
                 disc[v] = low[v] = len(stack)  # its depth: only ancestors are compared
                 held[v] = int(v in wset)
                 stack.append((v, iter(g.adj[v])))
                 break
-            low[u] = min(low[u], disc[v])
+            if d < low[u]:  # not min(): this loop is the hot path
+                low[u] = d
         else:
             stack.pop()
             p = parent[u]
             if p >= 0:
-                low[p] = min(low[p], low[u])
+                if low[u] < low[p]:
+                    low[p] = low[u]
                 held[p] += held[u]
                 if low[u] >= disc[p]:
                     cut_off[p] += held[u]
@@ -386,15 +390,17 @@ def choose_L(g: Graph, W, p: NetworkParams):
     at its own source, so some holder takes a unit on top of its resident
     token.  An integral flow with z = 2 at L = D (_certified_flow) is thus
     optimal there, and every later grid point already loses on t_m * L, so
-    it is returned without an LP.  Otherwise the LPs are built and solved in
-    grid order, and the scan stops at the first L where
-    t_m * L + min(t_c, t_m) * z_low reaches the best objective seen, z_low
-    being _forced_inflow's bound on z(L) for every L: from there on every
-    grid point's objective is at least the best, and only one lower by more
-    than LP_TOLERANCE would replace it, so the skipped LPs change nothing.
+    it is returned without an LP; it is sought only when z_low, the bound
+    _forced_inflow puts on z(L) for every L, is 2.  Otherwise the LPs are
+    built and solved in grid order, and the scan stops at the first L where
+    t_m * L + min(t_c, t_m) * z_low reaches the best objective seen: from
+    there on every grid point's objective is at least the best, and only
+    one lower by more than LP_TOLERANCE would replace it, so the skipped
+    LPs change nothing.
     """
     d = max(1, g.diameter())
-    flow = _certified_flow(g, W, d)
+    z_low = _forced_inflow(g, W)
+    flow = _certified_flow(g, W, d) if z_low == 2 else None
     if flow is not None:
         return d, flow
     xi = xi_bound(g, p)
@@ -405,10 +411,9 @@ def choose_L(g: Graph, W, p: NetworkParams):
         L *= 2
     grid.append(xi)
     weight = min(p.t_c, p.t_m)
-    floor = weight * _forced_inflow(g, W)
     best = None  # (objective, L, solution)
     for L in grid:
-        if best is not None and p.t_m * L + floor >= best[0]:
+        if best is not None and p.t_m * L + weight * z_low >= best[0]:
             break
         sol = solve_flow_lp(build_flow_lp(g, W, L))
         obj = p.t_m * L + weight * sol.z
@@ -452,8 +457,14 @@ def sample_paths(flow: FlowSolution, L_hat: int, W, seed: int) -> tuple:
     10 * z * log2(max(L_hat, 2)) sampled paths.  Returns the kept paths of
     the first sample keeping the most, and stops early once a sample keeps a
     path for every holder.
+
+    A certified flow is one path per holder, which a walk follows whatever
+    it draws, with at most z = 2 paths on any vertex: the first sample keeps
+    every path, so the paths are read off the flow with no random draws.
     """
     W = tuple(sorted(set(W)))
+    if flow.method == "certified":
+        return tuple((w, *(v for _, _, v in sorted(flow.flows[w]))) for w in W)
     n = flow.graph.n
     n_samples = math.ceil(4 * math.log2(max(n, 2))) + 1
     threshold = 10.0 * flow.z * math.log2(max(L_hat, 2))

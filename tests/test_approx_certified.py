@@ -3,12 +3,14 @@ and the cut-vertex bound on z that ends `choose_L`'s scan.
 
 With the LP as oracle: every flow `_certified_flow` returns is a feasible
 point of `build_flow_lp(g, W, D)` at z = 2, and the LP's own optimum there is
-2.  Where no certificate exists, `choose_L` returns the LP's answer; where
-one does, `solve_tc` never needs the LP at all.  `_forced_inflow` meets its
-definition and never exceeds the LP's z, and the scan it stops picks the
-same step count and flow as a scan that assumes only z >= 0.
+2, and sampling it gives its own paths.  Where no certificate exists,
+`choose_L` returns the LP's answer; where one does, `solve_tc` never needs
+the LP at all.  `_forced_inflow` meets its definition and never exceeds the
+LP's z, and the scan it stops picks the same step count and flow as a scan
+that assumes only z >= 0.
 """
 
+import dataclasses
 import time
 from unittest import mock
 
@@ -24,6 +26,7 @@ from tokensched.approx import (
     _forced_inflow,
     build_flow_lp,
     choose_L,
+    sample_paths,
     solve_flow_lp,
     solve_tc,
     xi_bound,
@@ -87,6 +90,9 @@ def test_certified_flow_is_an_lp_optimum(inst):
         assert not set(path[1:-1]) & set(W)
         assert all(g.has_edge(u, v) for u, v in zip(path, path[1:]))
     assert sorted(path[-1] for path in paths.values()) == W  # one unit each
+    # sample_paths reads a certified flow's paths off; walking it gives them too.
+    walked = sample_paths(dataclasses.replace(flow, method="lp"), d, W, seed=7)
+    assert sample_paths(flow, d, W, seed=7) == walked == tuple(paths[w] for w in W)
 
 
 def forced_inflow_reference(g, W) -> int:
