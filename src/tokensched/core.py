@@ -231,9 +231,13 @@ class Action(namedtuple("Action", "start_round node kind target token",
     SEND occupies [start_round, start_round + t_m - 1]; COMPUTE occupies
     [start_round, start_round + t_c - 1].  `token`, when set, names the sent
     token by the lowest singleton id it contains; an unnamed SEND transmits
-    the node's oldest-acquired token.  Every way to build one (the
+    the node's oldest-acquired token.  Every public way to build one (the
     constructor, `_make`, `_replace`, unpickling) checks the kind and its
-    fields.  Like any tuple, an Action equals the plain tuple of its fields.
+    fields.  The one trusted constructor, `tuple.__new__(Action, fields)`,
+    skips those checks; only bulk builders that have checked the fields
+    themselves use it: `files.parse_schedule`, and `core._asap`, whose
+    callers queue only SEND with a target and COMPUTE.  Like any tuple, an
+    Action equals the plain tuple of its fields.
     """
 
     __slots__ = ()
@@ -340,15 +344,18 @@ class _Replay:
     """The one replay engine, shared by the validator and the simulator:
     constructing it replays the schedule to its end.
 
-    It walks the actions in canonical order, by round, node, then target;
-    merges last t_c and sends t_m rounds, so merge completions and deliveries
-    each come due in the order they start, and two queues hold them.  A
-    replay costs O(A) in the number of actions A, whatever the declared
-    length.  Every effect landing at or before a round is applied before that
-    round's actions are checked and started; within a round, merge
-    completions land first (by node), then deliveries (by sender, target), so
-    a delivered token is always newer in acquisition order than a merge
-    finishing that round.
+    It walks the actions in canonical order, by round, node, then target.
+    Each started action's effect waits under the round it lands in, in one
+    list of merge completions and one of deliveries per landing round, with
+    a heap of the distinct landing rounds.  Nothing started at round r lands
+    at r, so the per-round work is done once, as the walk enters a round:
+    the effects due by then land, one landing round at a time, and the two
+    lists its actions' effects go to, at r + t_c and r + t_m, are fetched.
+    Within a landing round, merge completions land first (by node), then
+    deliveries (by sender, target), so a delivered token is always newer in
+    acquisition order than a merge finishing that round.  A replay costs
+    O(A + R log R) for A actions over R distinct rounds, whatever the
+    declared length.
 
     Tokens are integer handles carrying their lowest singleton id; contents
     are built only when a caller reads them.  Rule violations raise
@@ -400,58 +407,72 @@ class _Replay:
         return TokenState(tuple(tuple(map(self.contents, h)) for h in self.holdings))
 
     def _run(self, g: Graph, p: NetworkParams, s: Schedule):
-        length = s.length
-        duration = {SEND: p.t_m, COMPUTE: p.t_c}
+        length, n, t_m, t_c = s.length, g.n, p.t_m, p.t_c
+        end = length + 1
+        # K_n's neighbour sets are never built: there every in-range other
+        # node is a neighbour.
+        adj = None if g.is_complete() else g.adj
         holdings, sets, parts, min_id = self.holdings, self.sets, self.parts, self.min_id
         events, states = self.events, self.states
-        busy_until = [0] * g.n
-        complete = g.is_complete()  # every in-range other node is a neighbour
-        # (round, _MERGE/_DELIVER, node, target, a, b), each in landing order
-        merges, deliveries = deque(), deque()
-        for a in (*s.actions, None):
-            now = length + 1 if a is None else a.start_round
-            while merges and merges[0][0] <= now or deliveries and deliveries[0][0] <= now:
-                # the earlier head lands first, a merge on a tie
-                q = merges if merges and not (deliveries and deliveries[0][0] < merges[0][0]) \
-                    else deliveries
-                effect = q.popleft()
-                r, kind, node, target, x, y = effect
-                held = holdings[node]
-                held.remove(x)
-                if kind == _MERGE:
-                    held.remove(y)
-                    held.append(len(min_id))
-                    min_id.append(min(min_id[x], min_id[y]))
-                    parts.append((x, y))
-                    sets.append(None)
-                else:
-                    holdings[target].append(x)
-                if events is not None:
-                    events.append(effect)
-                if states is not None and all(q[0][0] != r for q in (merges, deliveries) if q):
-                    states.append((r, self.state()))
-            if a is None:
+        free_from = [1] * n  # the first round each node is free
+        due = {}  # landing round -> ([(node, a, b)], [(sender, target, token)])
+        pending = []  # heap of the rounds in `due`
+        stop = (end, None, None, None, None)  # lands what is left after the last action
+        round_ = None
+        for a in (*s.actions, stop):
+            now, v, kind, target, token = a
+            if now != round_:
+                round_ = now
+                while pending and pending[0] <= now:
+                    r = heappop(pending)
+                    ms, ds = due.pop(r)
+                    for u, x, y in ms:
+                        held = holdings[u]
+                        held.remove(x)
+                        held.remove(y)
+                        held.append(len(min_id))
+                        min_id.append(min_id[x] if min_id[x] < min_id[y] else min_id[y])
+                        parts.append((x, y))
+                        sets.append(None)
+                        if events is not None:
+                            events.append((r, _MERGE, u, u, x, y))
+                    for u, w, x in ds:
+                        holdings[u].remove(x)
+                        holdings[w].append(x)
+                        if events is not None:
+                            events.append((r, _DELIVER, u, w, x, -1))
+                    if states is not None and (ms or ds):
+                        states.append((r, self.state()))
+                # the lists this round's merges and sends land in
+                for r in (now + t_c, now + t_m):
+                    if r not in due:
+                        due[r] = ([], [])
+                        heappush(pending, r)
+                merging, sending = due[now + t_c][0], due[now + t_m][1]
+            if a is stop:
                 return
-            _, v, kind, target, token = a
-            if not (0 <= v < g.n):
+            if not (0 <= v < n):
                 raise MalformedInputError(f"action names unknown node {v}")
             if kind == SEND:
-                if not (0 <= target < g.n) or target == v:
+                if not (0 <= target < n) or target == v:
                     raise MalformedInputError(
                         f"round {now}: node {v} sends to invalid node {target}"
                     )
-                if not complete and target not in g.adj[v]:
+                if adj is not None and target not in adj[v]:
                     raise MalformedInputError(
                         f"round {now}: nodes {v} and {target} are not neighbors"
                     )
-            dur = duration[kind]
-            if now < 1 or now + dur - 1 > length:
+                done = now + t_m  # the round its effect lands
+            else:
+                done = now + t_c
+            if now < 1 or done > end:
                 raise InvalidScheduleError(
-                    now, v, "d",
-                    f"{kind} occupies [{now}, {now + dur - 1}] outside [1, {length}]",
+                    now, v, "d", f"{kind} occupies [{now}, {done - 1}] outside [1, {length}]",
                 )
-            if busy_until[v] >= now:
-                raise InvalidScheduleError(now, v, "c", f"node busy until round {busy_until[v]}")
+            if free_from[v] > now:
+                raise InvalidScheduleError(
+                    now, v, "c", f"node busy until round {free_from[v] - 1}"
+                )
             held = holdings[v]
             if kind == SEND:
                 if not held:
@@ -462,14 +483,14 @@ class _Replay:
                     tok = next((t for t in held if min_id[t] == token), None)
                     if tok is None:
                         raise InvalidScheduleError(now, v, "a", f"named token {token} not held")
-                deliveries.append((now + dur, _DELIVER, v, target, tok, -1))
+                sending.append((v, target, tok))
             else:
                 if len(held) < 2:
                     raise InvalidScheduleError(
                         now, v, "b", f"compute with {len(held)} token(s) in hand"
                     )
-                merges.append((now + dur, _MERGE, v, v, held[0], held[1]))  # two oldest
-            busy_until[v] = now + dur - 1
+                merging.append((v, held[0], held[1]))  # two oldest
+            free_from[v] = done
 
 
 def simulate(g: Graph, p: NetworkParams, s: Schedule,
@@ -548,10 +569,12 @@ def validate_schedule(g: Graph, p: NetworkParams, s: Schedule,
 def _asap(p: NetworkParams, queues: list, held: list) -> tuple:
     """The greedy timing engine: (actions, last occupied round).
 
-    queues[v] lists node v's actions in order as (kind, target) pairs, and
-    held[v] is its starting token count.  Each action starts at the first
-    round at which its node is free and holds a token for a SEND, two for a
-    COMPUTE; tokens landing at a round count before that round's starts.
+    queues[v] lists node v's actions in order as (kind, target) pairs, each
+    (SEND, node) or (COMPUTE, None), as the actions are built unchecked with
+    the trusted Action constructor; held[v] is v's starting token count.
+    Each action starts at the first round at which its node is free and
+    holds a token for a SEND, two for a COMPUTE; tokens landing at a round
+    count before that round's starts.
 
     Rounds are visited in buckets: one list of landings and one of starts
     per round, and a heap of the distinct rounds only, so the cost is
@@ -566,6 +589,7 @@ def _asap(p: NetworkParams, queues: list, held: list) -> tuple:
     due = {1: ([], [v for v, q in enumerate(queues) if q])}  # round -> (lands, starts)
     rounds = [1]
     actions = []
+    new = tuple.__new__
     while rounds:
         r = heappop(rounds)
         lands, starts = due.pop(r)
@@ -583,13 +607,14 @@ def _asap(p: NetworkParams, queues: list, held: list) -> tuple:
                 continue
             held[v] -= 1  # a send's token, or a merge's second operand
             nxt[v] = i + 1
-            actions.append(Action(r, v, kind, target))
+            actions.append(new(Action, (r, v, kind, target, None)))
             # Every action ends in a visited round, so the last one popped
             # is one past the last occupied round.
-            bucket = due.get(r + dur)
+            done = r + dur
+            bucket = due.get(done)
             if bucket is None:
-                bucket = due[r + dur] = ([], [])
-                heappush(rounds, r + dur)
+                bucket = due[done] = ([], [])
+                heappush(rounds, done)
             if kind == SEND:
                 bucket[0].append(target)
             if i + 1 < len(q):

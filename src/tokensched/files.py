@@ -12,43 +12,36 @@ Schedule file::
 
 Rounds are 1-indexed.  Unknown trailing fields are rejected.
 
+Both parsers split the text into lines as `str.splitlines` does (so `\f`,
+`\x1c` and `\u2028` end a line too) and number the lines the same way; a
+line is blank when it holds only whitespace and a comment when its first
+field starts with `#`.
+
 A graph header may declare at most MAX_NODES nodes; a larger `n` is rejected
 before any adjacency is allocated, so a tiny file cannot exhaust memory.
 """
 
 from __future__ import annotations
 
-import io
-
 from .core import COMPUTE, SEND, Action, Graph, MalformedInputError, Schedule, _nogc
 
 MAX_NODES = 1_000_000
 
 
-def _data_lines(text: str):
-    """(line number, stripped line) for each line that is neither blank nor a
-    comment, read one line at a time and numbered as str.splitlines would."""
-    # a chunk is one line by universal newlines; splitlines also breaks at \f, \v, ...
-    lines = (line for chunk in io.StringIO(text, newline=None) for line in chunk.splitlines())
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield lineno, line
-
-
 def parse_graph(text: str) -> Graph:
-    lines = list(_data_lines(text))
+    # (line number, line) of each line that is neither blank nor a comment
+    lines = [(lineno, raw) for lineno, raw in enumerate(text.splitlines(), start=1)
+             if (parts := raw.split()) and parts[0][0] != "#"]
     if not lines:
         raise MalformedInputError("graph file has no data lines")
     lineno, header = lines[0]
     parts = header.split()
     if len(parts) != 2:
-        raise MalformedInputError(f"line {lineno}: expected 'n m', got {header!r}")
+        raise MalformedInputError(f"line {lineno}: expected 'n m', got {header.strip()!r}")
     try:
         n, m = int(parts[0]), int(parts[1])
     except ValueError as exc:
-        raise MalformedInputError(f"line {lineno}: non-integer header {header!r}") from exc
+        raise MalformedInputError(f"line {lineno}: non-integer header {header.strip()!r}") from exc
     if n > MAX_NODES:
         raise MalformedInputError(f"line {lineno}: {n} nodes exceeds the limit of {MAX_NODES}")
     if len(lines) - 1 != m:
@@ -57,11 +50,11 @@ def parse_graph(text: str) -> Graph:
     for lineno, line in lines[1:]:
         parts = line.split()
         if len(parts) != 2:
-            raise MalformedInputError(f"line {lineno}: expected 'u v', got {line!r}")
+            raise MalformedInputError(f"line {lineno}: expected 'u v', got {line.strip()!r}")
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError as exc:
-            raise MalformedInputError(f"line {lineno}: non-integer edge {line!r}") from exc
+            raise MalformedInputError(f"line {lineno}: non-integer edge {line.strip()!r}") from exc
         if not (0 <= u < v < n):
             raise MalformedInputError(f"line {lineno}: edge must satisfy 0 <= u < v < n")
         edges.append((u, v))
@@ -76,26 +69,34 @@ def format_graph(g: Graph) -> str:
 
 @_nogc
 def parse_schedule(text: str) -> Schedule:
-    lines = _data_lines(text)  # read as the actions are parsed, not listed first
-    head = next(lines, None), next(lines, None)
-    if head[1] is None:
+    numbered = enumerate(text.splitlines(), start=1)
+    head = []  # (line number, line, fields) of the first two data lines
+    for lineno, raw in numbered:
+        parts = raw.split()
+        if parts and parts[0][0] != "#":
+            head.append((lineno, raw, parts))
+            if len(head) == 2:
+                break
+    else:
         raise MalformedInputError("schedule file needs a TCSCHED header and a length line")
-    lineno, magic = head[0]
-    if magic.split() != ["TCSCHED", "1"]:
-        raise MalformedInputError(f"line {lineno}: expected 'TCSCHED 1', got {magic!r}")
-    lineno, lenline = head[1]
-    parts = lenline.split()
+    lineno, raw, parts = head[0]
+    if parts != ["TCSCHED", "1"]:
+        raise MalformedInputError(f"line {lineno}: expected 'TCSCHED 1', got {raw.strip()!r}")
+    lineno, raw, parts = head[1]
     if len(parts) != 2 or parts[0] != "length":
-        raise MalformedInputError(f"line {lineno}: expected 'length L', got {lenline!r}")
+        raise MalformedInputError(f"line {lineno}: expected 'length L', got {raw.strip()!r}")
     try:
         length = int(parts[1])
     except ValueError as exc:
         raise MalformedInputError(f"line {lineno}: non-integer length") from exc
     actions = []
-    for lineno, line in lines:
-        parts = line.split()
+    new = tuple.__new__  # the trusted Action constructor: the fields are checked here
+    for lineno, raw in numbered:  # the same pass goes on past the header
+        parts = raw.split()  # split() and strip() agree on what whitespace is
+        if not parts or parts[0][0] == "#":
+            continue
         if len(parts) < 3:
-            raise MalformedInputError(f"line {lineno}: incomplete action {line!r}")
+            raise MalformedInputError(f"line {lineno}: incomplete action {raw.strip()!r}")
         try:
             r, v = int(parts[0]), int(parts[1])
         except ValueError as exc:
@@ -104,7 +105,7 @@ def parse_schedule(text: str) -> Schedule:
         if kind == COMPUTE:
             if len(parts) != 3:
                 raise MalformedInputError(f"line {lineno}: trailing fields after COMPUTE")
-            actions.append(Action(r, v, COMPUTE))
+            actions.append(new(Action, (r, v, COMPUTE, None, None)))
         elif kind == SEND:
             if len(parts) not in (4, 5):
                 raise MalformedInputError(f"line {lineno}: SEND takes a target and at most token=k")
@@ -120,7 +121,7 @@ def parse_schedule(text: str) -> Schedule:
                     token = int(parts[4][len("token="):])
                 except ValueError as exc:
                     raise MalformedInputError(f"line {lineno}: non-integer token id") from exc
-            actions.append(Action(r, v, SEND, target, token))
+            actions.append(new(Action, (r, v, SEND, target, token)))
         else:
             raise MalformedInputError(f"line {lineno}: unknown action kind {kind!r}")
     return Schedule(length, tuple(actions))

@@ -352,6 +352,26 @@ def test_window_rule_d():
     assert validate_schedule(g, p, early).violation[2] == "d"
 
 
+def test_actions_past_the_end_fail_rule_d_without_hanging():
+    # Path 0-1-2 at t_m = 2, length 4: node 1 merges 0's token at round 3,
+    # and node 2's send from round 3 is still in flight (it lands at 5, one
+    # past the end) when the walk reaches the late action.
+    g, p, length = path_graph(3), NetworkParams(1, 2), 4
+    base = (Action(1, 0, SEND, 1), Action(3, 1, COMPUTE))
+    started = time.perf_counter()
+    for late in (length + 1, length + 5, 10**9):
+        for in_flight in ((), (Action(3, 2, SEND, 1),)):
+            s = Schedule(length, base + in_flight + (Action(late, 1, COMPUTE),))
+            violation = (late, 1, "d", f"COMPUTE occupies [{late}, {late}] outside [1, {length}]")
+            assert validate_schedule(g, p, s).violation == violation
+            for replay in (simulate, replay_events):
+                with pytest.raises(InvalidScheduleError) as info:
+                    replay(g, p, s)
+                assert (info.value.round, info.value.node, info.value.rule,
+                        info.value.message) == violation
+    assert time.perf_counter() - started < 1.0
+
+
 def test_leftover_tokens_rule_e():
     g = complete_graph(2)
     report = validate_schedule(g, P11, Schedule(1))

@@ -49,8 +49,10 @@ from tokensched.core import (
     lower_bounds,
     replay_events,
     simulate,
+    state_changes,
     validate_schedule,
 )
+from tokensched.files import format_schedule, parse_schedule
 from tokensched.generators import complete_graph, cycle_graph, grid_graph, path_graph, star_graph
 
 # brute_opt takes 3 ms on the median 6-node graph and up to 0.27 s (30 random
@@ -177,6 +179,10 @@ def test_validator_simulator_and_replay_agree(inst):
             assert trace[-1] == final[0]
             assert trace[-1].total_tokens() == report.final_token_count
             assert report.valid == (report.final_token_count == 1)
+            # the sparse trace lists round 0 and exactly the rounds that changed
+            assert state_changes(g, p, m) == [(0, trace[0])] + [
+                (r, trace[r]) for r in range(1, len(trace)) if trace[r] != trace[r - 1]
+            ]
         else:
             assert report.violation[:3] == violation
             assert trace == final == ("raised", *report.violation)
@@ -218,6 +224,13 @@ def test_tree_schedule_aggregates_at_the_root(tree, tc, tm):
     assert len(final.tokens_at(root)) == 1
 
 
+def assert_checked(actions):
+    """Each action is an Action that the checked constructor rebuilds
+    unchanged, so the trusted constructor built nothing the checks refuse."""
+    for a in actions:
+        assert type(a) is Action and Action(*a) == a
+
+
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(sourced_instances())
 def test_left_shift_keeps_scheduler_outputs(inst):
@@ -226,6 +239,10 @@ def test_left_shift_keeps_scheduler_outputs(inst):
     source, g, p, s = inst
     shifted = left_shift(g, p, s)
     assert validate_schedule(g, p, shifted).valid
+    # opt_complete's actions come from greedy_schedule; those of the shift
+    # and of the parser are built unchecked too.
+    for actions in (s.actions, shifted.actions, parse_schedule(format_schedule(s)).actions):
+        assert_checked(actions)
     if source == "brute_opt":
         assert shifted.length == s.length
     else:
@@ -458,4 +475,6 @@ def test_left_shift_of_gadget_schedules(g, t_m, data):
     s = schedule_from_dominating_set(gadget, ds)
     shifted = left_shift(gadget.graph, gadget.params, s)
     assert validate_schedule(gadget.graph, gadget.params, shifted).valid
+    assert_checked(s.actions)
+    assert_checked(shifted.actions)
     assert shifted.length <= s.length
