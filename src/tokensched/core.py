@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from functools import cached_property, wraps
 from heapq import heappop, heappush
 
+import numpy as np
+
 SEND = "SEND"
 COMPUTE = "COMPUTE"
 
@@ -70,7 +72,9 @@ class Graph:
     the node degrees.  `generators.complete_graph` gives K_n as its counts
     alone, `adj` built on first read; a complete graph answers `has_edge`,
     `max_degree`, `bfs_distances`, `is_connected`, the replay's neighbour
-    check and its eccentricities without `adj`.
+    check and its eccentricities without `adj`.  `radius()` and `diameter()`
+    read one cached pair, found by bounding every eccentricity from a few
+    searches: whichever is called first, neither searches again.
     """
 
     @_nogc
@@ -150,63 +154,48 @@ class Graph:
         return all(d >= 0 for d in self.bfs_distances(0))
 
     @cached_property
-    def _eccs(self) -> dict:
-        """v -> eccentricity, for every v a search has run from: radius()
-        and diameter() share it, so no vertex is searched twice."""
-        return {}
-
-    def _search(self, v: int) -> list:
-        """bfs_distances(v), recording v's eccentricity; raises
-        DisconnectedGraphError when some node is unreachable."""
-        dist = self.bfs_distances(v)
-        if min(dist) < 0:
-            raise DisconnectedGraphError(
-                "graph is disconnected; aggregation to one token is unsolvable"
-            )
-        self._eccs[v] = max(dist)
-        return dist
-
-    def _ecc(self, v: int) -> int:
-        if v not in self._eccs:
-            self._search(v)
-        return self._eccs[v]
+    def _extremes(self) -> tuple:
+        """(radius, diameter) by the bounding method of Takes & Kosters
+        (Algorithms 2013).  A search from w, of eccentricity e, bounds every
+        v at distance d: max(d, e - d) <= ecc(v) <= e + d.  Searches
+        alternate between the vertex of least lower bound and the one of
+        greatest upper bound, taking the other when the one whose turn it is
+        could not change the radius or the diameter found so far, and stop
+        when neither could.  On K_n, (1, 1) ((0, 0) for n = 1) without a
+        search."""
+        n = self.n
+        if self.is_complete():
+            return (min(n - 1, 1),) * 2
+        lo = np.zeros(n, dtype=np.int64)
+        hi = np.full(n, n - 1, dtype=np.int64)
+        # Vertex 0 is the first least-lower-bound pick, as all bounds tie.
+        radius, diameter, w, low_turn = n, 0, 0, False
+        while True:
+            dist = self.bfs_distances(w)
+            if min(dist) < 0:
+                raise DisconnectedGraphError(
+                    "graph is disconnected; aggregation to one token is unsolvable"
+                )
+            e, dist = max(dist), np.array(dist)
+            radius, diameter = min(radius, e), max(diameter, e)
+            np.maximum(lo, np.maximum(dist, e - dist), out=lo)
+            np.minimum(hi, e + dist, out=hi)
+            # A searched vertex has lo = hi = its eccentricity, so it is never
+            # a pick that could change the radius or the diameter.
+            low, high = int(lo.argmin()), int(hi.argmax())
+            low_open, high_open = lo[low] < radius, hi[high] > diameter
+            if not (low_open or high_open):
+                return radius, diameter
+            w = low if low_open and (low_turn or not high_open) else high
+            low_turn = not low_turn
 
     def radius(self) -> int:
-        """The least eccentricity, by a search from every node; on K_n, 1
-        (0 for n = 1) without a search."""
-        if self.is_complete():
-            return min(self.n - 1, 1)
-        return min(map(self._ecc, range(self.n)))
-
-    @cached_property
-    def _diameter(self) -> int:
-        if self.is_complete():
-            return min(self.n - 1, 1)
-        if len(self._eccs) == self.n:
-            return max(self._eccs.values())
-        # iFUB (Crescenzi et al., TCS 2013).  A 2-sweep, 0 -> a -> b, finds u
-        # halfway along a shortest a-b path.  Two nodes at most i hops from u
-        # are at most 2i apart, so once the largest eccentricity seen reaches
-        # twice the level of the next node, in u's levels from the deepest
-        # up, no unseen pair can be farther apart.
-        from_0 = self._search(0)
-        a = from_0.index(max(from_0))
-        from_a = self._search(a)
-        u = b = from_a.index(max(from_a))
-        while from_a[u] > from_a[b] // 2:
-            u = min(x for x in self.adj[u] if from_a[x] == from_a[u] - 1)
-        level = from_0 if u == 0 else from_a if u == a else self._search(u)
-        lb = max(self._eccs.values())
-        for x in sorted(range(self.n), key=lambda x: -level[x]):
-            if lb >= 2 * level[x]:
-                break
-            lb = max(lb, self._ecc(x))
-        return lb
+        """The least eccentricity; raises DisconnectedGraphError if disconnected."""
+        return self._extremes[0]
 
     def diameter(self) -> int:
-        """The largest eccentricity, by iFUB: on most graphs far fewer
-        searches than nodes, never more; none after radius()."""
-        return self._diameter
+        """The largest eccentricity; raises DisconnectedGraphError if disconnected."""
+        return self._extremes[1]
 
 
 @dataclass(frozen=True)

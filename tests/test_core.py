@@ -68,14 +68,30 @@ def test_graph_ignores_edge_orientation_and_duplicates(g):
 
 
 def test_graph_eccentricities_computed_once(monkeypatch):
-    g = grid_graph(3, 4)
-    assert (g.radius(), g.diameter()) == (3, 5)
-
     def no_bfs(source):
         raise AssertionError("eccentricities were recomputed")
 
+    g = grid_graph(3, 4)
+    assert (g.radius(), g.diameter()) == (3, 5)
     monkeypatch.setattr(g, "bfs_distances", no_bfs)
     assert (g.radius(), g.diameter()) == (3, 5)
+    g = grid_graph(3, 4)
+    assert g.diameter() == 5
+    monkeypatch.setattr(g, "bfs_distances", no_bfs)
+    assert g.radius() == 3
+
+
+@pytest.mark.parametrize("radius_first", [True, False])
+def test_grid_eccentricities_take_few_searches(radius_first):
+    g = grid_graph(64, 64)
+    searched = []
+    bfs = g.bfs_distances
+    g.bfs_distances = lambda v: searched.append(v) or bfs(v)
+    if radius_first:
+        assert (g.radius(), g.diameter()) == (64, 126)
+    else:
+        assert (g.diameter(), g.radius()) == (126, 64)
+    assert len(searched) <= 16
 
 
 def _outcome(fn, *args):

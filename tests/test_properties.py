@@ -14,7 +14,7 @@ from any valid starting holdings ends with one token at the root.  The left
 shift keeps every scheduler's output valid and no longer: it leaves
 opt_complete and solve_tc as they are and brute_opt's optimum at its length.
 Distances and domination agree with networkx, with the diameter found
-before or after the radius.
+before or after the radius, from at most one search per node.
 """
 
 from itertools import combinations
@@ -441,20 +441,29 @@ def graphs_with_members(draw):
 @example((cycle_graph(10), {0, 3, 6}))
 @example((cycle_graph(11), {1, 5}))
 @example((path_graph(9), {1, 4, 7}))
+@example((cycle_graph(9), {0, 3, 6}))
+@example((grid_graph(3, 5), {2, 7, 12}))
+@example((star_graph(7), {0}))
 def test_distances_and_domination_match_networkx(inst):
     g, members = inst
     h = nx.Graph()
     h.add_nodes_from(range(g.n))
     h.add_edges_from(g.edges)
-    # diameter() first, on a graph no search has run on, takes the iFUB
-    # path; radius() then searches the rest.  No node is searched twice.
-    fresh = Graph(g.n, g.edges)
-    searched = []
-    bfs = fresh.bfs_distances
-    fresh.bfs_distances = lambda v: searched.append(v) or bfs(v)
-    assert fresh.diameter() == nx.diameter(h)
-    assert fresh.radius() == nx.radius(h)
-    assert len(searched) == len(set(searched)) <= g.n
+    # On fresh copies, in either order, both come from one run of bounded
+    # searches: no node is searched twice.  Where every eccentricity ties,
+    # as on a cycle, no bound rules a node out, so each is searched once.
+    self_centered = nx.radius(h) == nx.diameter(h) and not g.is_complete()
+    for diameter_first in (True, False):
+        fresh = Graph(g.n, g.edges)
+        searched = []
+        bfs = fresh.bfs_distances
+        fresh.bfs_distances = lambda v: searched.append(v) or bfs(v)
+        if diameter_first:
+            assert (fresh.diameter(), fresh.radius()) == (nx.diameter(h), nx.radius(h))
+        else:
+            assert (fresh.radius(), fresh.diameter()) == (nx.radius(h), nx.diameter(h))
+        assert len(searched) == len(set(searched)) <= g.n
+        assert len(searched) == g.n or not self_centered
     for v in range(g.n):
         dist = nx.single_source_shortest_path_length(h, v)
         assert g.bfs_distances(v) == [dist[u] for u in range(g.n)]
