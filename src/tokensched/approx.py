@@ -18,7 +18,10 @@ below: every component of G - c holding a lone holder sends that holder's
 unit into c, which also keeps its own token if it holds one.  A bound above
 2 rules the certificate out, so no max-flow is run for it.  The scan stops
 once t_m * L plus min(t_c, t_m) times that bound reaches the best objective
-found, since no later L could then win.
+found, since no later L could then win.  Both the bound and the certificate
+read one depth-first search and one CSR adjacency that each graph builds
+once (core.Graph._dfs), not per round: the capacity matrix is written in CSR
+form from them, and the flow is read off the max-flow result's own arrays.
 
 Routing delays merges when computation dominates (t_c > t_m) and merges
 eagerly en route otherwise.  Both routers run in lock step, one send per
@@ -239,20 +242,6 @@ def xi_bound(g: Graph, p: NetworkParams) -> int:
     return math.ceil(2 * trivial_upper_bound(g, p) / p.t_m)
 
 
-def _dfs_preorder(g: Graph) -> list:
-    """Vertices in depth-first preorder from vertex 0, neighbours ascending."""
-    seen = [False] * g.n
-    order = []
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        if not seen[u]:
-            seen[u] = True
-            order.append(u)
-            stack.extend(sorted(g.adj[u], reverse=True))
-    return order
-
-
 def _certified_flow(g: Graph, W, L: int) -> FlowSolution | None:
     """An integral flow of build_flow_lp(g, W, L) with z = 2, or None.
 
@@ -266,49 +255,71 @@ def _certified_flow(g: Graph, W, L: int) -> FlowSolution | None:
     every non-holder carries at most two: with every path at most L hops,
     that is a feasible LP point at z = 2.  None when |W| is odd, some holder
     stays unrouted or some path is longer than L.
+
+    The preorder and the CSR adjacency are the graph's, built once
+    (Graph._dfs); each call writes the capacity matrix straight in CSR form
+    from them and reads the edge flows off the max-flow's own arrays.
     """
     W = tuple(sorted(set(W)))
     if len(W) < 2 or len(W) % 2:
         return None
+    preorder, _, _, indptr, nbrs = g._dfs
     wset = set(W)
-    order = [v for v in _dfs_preorder(g) if v in wset]
-    a_side = set(order[0::2])
+    order = [v for v in preorder if v in wset]
+    a_side = order[0::2]
     # Vertex v is entered at 2v and left at 2v + 1; every arc has capacity
     # 2.  An A holder is entered only from s, and a B holder is left only
-    # for t, so no path passes a holder.
+    # for t, so no path passes a holder.  Rows in order and columns ascending,
+    # the canonical CSR form, on which maximum_flow's result depends: row 2v
+    # holds v -> t for a B holder, nothing for an A holder, else 2v -> 2v + 1;
+    # row 2v + 1 the arcs to 2u for v's neighbours u; row s the A holders.
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import maximum_flow
 
     n = g.n
     s, t = 2 * n, 2 * n + 1
-    edges = [(u, v) for u in range(n) for v in sorted(g.adj[u])]
-    tail = [s if v in a_side else 2 * v for v in range(n)]
-    head = [t if v in wset and v not in a_side else 2 * v + 1 for v in range(n)]
-    tail += [2 * u + 1 for u, _ in edges]
-    head += [2 * v for _, v in edges]
+    not_a = np.ones(n, dtype=bool)  # row 2v holds one arc
+    not_a[a_side] = False
+    head = 2 * np.arange(n) + 1  # of that arc: t for a holder, as A holders drop out
+    head[list(W)] = t
+    counts = np.zeros(t + 1, dtype=np.int64)
+    counts[0:s:2] = not_a
+    counts[1:s:2] = np.diff(indptr)
+    counts[s] = len(a_side)
+    row_ptr = np.zeros(t + 2, dtype=np.int32)
+    np.cumsum(counts, out=row_ptr[1:])
+    cols = np.insert(2 * nbrs, indptr[:-1][not_a], head[not_a])
+    cols = np.concatenate([cols, 2 * np.sort(a_side) + 1]).astype(np.int32)
     cap = csr_matrix(
-        (np.full(len(tail), 2, dtype=np.int32), (tail, head)), shape=(t + 1, t + 1)
+        (np.full(len(cols), 2, dtype=np.int32), cols, row_ptr), shape=(t + 1, t + 1)
     )
     res = maximum_flow(cap, s, t)
     if res.flow_value < len(W):
         return None
-    flow = np.asarray(res.flow[tail[n:], head[n:]]).ravel()
+    # The edge arcs are the positive entries in odd rows below 2n and even
+    # columns below 2n.  The split network has no antiparallel arcs, so the
+    # reverse residual entries res.flow also holds (2v + 1 -> 2v among them)
+    # are all <= 0.
+    flow = res.flow
+    ptr = flow.indptr[: s + 1]
+    rows = np.repeat(np.arange(s), np.diff(ptr))
+    heads, units = flow.indices[: ptr[-1]], flow.data[: ptr[-1]]
+    on = (units > 0) & (rows % 2 == 1) & (heads % 2 == 0) & (heads < s)
 
     # Decompose into paths, each the lowest-id way on from where it stands.
     left = {}  # u -> {v: units on u -> v not yet in a path}
-    for (u, v), f in zip(edges, flow.tolist()):
-        if f:
-            left.setdefault(u, {})[v] = f
+    for u, v, f in zip((rows[on] // 2).tolist(), (heads[on] // 2).tolist(), units[on].tolist()):
+        left.setdefault(u, {})[v] = f
     paths = []
-    for a in order[0::2]:
+    for a in a_side:
         for _ in range(2):
             walk = [a]
             while len(walk) == 1 or walk[-1] not in wset:
-                nbrs = left[walk[-1]]
-                v = min(nbrs)
-                nbrs[v] -= 1
-                if not nbrs[v]:
-                    del nbrs[v]
+                nbrs_left = left[walk[-1]]
+                v = min(nbrs_left)
+                nbrs_left[v] -= 1
+                if not nbrs_left[v]:
+                    del nbrs_left[v]
                 walk.append(v)
             paths.append(tuple(excise_loops(walk)))
     if max(len(path) for path in paths) - 1 > L:
@@ -320,7 +331,7 @@ def _certified_flow(g: Graph, W, L: int) -> FlowSolution | None:
         ends[path[-1]].append(i)
     taken = [False] * len(paths)
     flows = {}
-    for u in order[0::2]:
+    for u in a_side:
         while u not in flows:
             i = next(i for i in ends[u] if not taken[i])
             taken[i] = True
@@ -338,42 +349,25 @@ def _forced_inflow(g: Graph, W) -> int:
     Such a lone holder's unit must reach another holder, all of which lie
     outside its component, so it enters c (and ends there when c is a
     holder).  c's capacity row counts all that inflow plus c's resident
-    token, so z >= the count at c for every L.  One iterative low-link DFS
-    from vertex 0 finds, for each c, its DFS children whose subtrees G - c
-    cuts off (low[child] >= disc[c]) and their holder counts; what remains
-    of G - c, the part through c's parent, holds the other holders.  O(n + m).
+    token, so z >= the count at c for every L.  The graph's low-link DFS
+    (Graph._dfs) marks the DFS children whose subtrees G - c cuts off;
+    one pass in reverse preorder adds up their holder counts; what remains
+    of G - c, the part through c's parent, holds the other holders.  O(n).
+    The bound is the graph's, whichever DFS tree finds it.
     """
+    preorder, parent, cut, _, _ = g._dfs
     wset = set(W)
-    disc = [-1] * g.n
-    low = [0] * g.n
     held = [0] * g.n  # holders in v's DFS subtree
     cut_off = [0] * g.n  # holders in the subtrees G - v separates from v's parent
     lone = [0] * g.n  # of those subtrees, the ones holding exactly one holder
-    parent = [-1] * g.n
-    disc[0], held[0] = 0, int(0 in wset)
-    stack = [(0, iter(g.adj[0]))]
-    while stack:
-        u, nbrs = stack[-1]
-        for v in nbrs:
-            d = disc[v]
-            if d < 0:
-                parent[v] = u
-                disc[v] = low[v] = len(stack)  # its depth: only ancestors are compared
-                held[v] = int(v in wset)
-                stack.append((v, iter(g.adj[v])))
-                break
-            if d < low[u]:  # not min(): this loop is the hot path
-                low[u] = d
-        else:
-            stack.pop()
-            p = parent[u]
-            if p >= 0:
-                if low[u] < low[p]:
-                    low[p] = low[u]
-                held[p] += held[u]
-                if low[u] >= disc[p]:
-                    cut_off[p] += held[u]
-                    lone[p] += held[u] == 1
+    for v in reversed(preorder):  # every child before its parent
+        h = held[v] = held[v] + (v in wset)
+        p = parent[v]
+        if p >= 0:
+            held[p] += h
+            if cut[v]:
+                cut_off[p] += h
+                lone[p] += h == 1
     total = len(wset)
     bound = 2
     for c in range(g.n):

@@ -10,10 +10,11 @@ counts at the sender until delivery.
 from __future__ import annotations
 
 import gc
-from collections import deque, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, wraps
 from heapq import heappop, heappush
+from itertools import chain
 
 import numpy as np
 
@@ -74,7 +75,8 @@ class Graph:
     `max_degree`, `bfs_distances`, `is_connected`, the replay's neighbour
     check and its eccentricities without `adj`.  `radius()` and `diameter()`
     read one cached pair, found by bounding every eccentricity from a few
-    searches: whichever is called first, neither searches again.
+    searches: whichever is called first, neither searches again.  `_dfs`
+    caches one depth-first search and the CSR adjacency the same way.
     """
 
     @_nogc
@@ -139,15 +141,19 @@ class Graph:
             dist = [1] * self.n
             dist[source] = 0
             return dist
+        adj = self.adj
         dist = [-1] * self.n
         dist[source] = 0
-        q = deque([source])
-        while q:
-            u = q.popleft()
-            for w in self.adj[u]:
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    q.append(w)
+        frontier, level = [source], 0
+        while frontier:  # one level at a time: every node found is at level + 1
+            level += 1
+            found = []
+            for u in frontier:
+                for w in adj[u]:
+                    if dist[w] < 0:
+                        dist[w] = level
+                        found.append(w)
+            frontier = found
         return dist
 
     def is_connected(self) -> bool:
@@ -196,6 +202,47 @@ class Graph:
     def diameter(self) -> int:
         """The largest eccentricity; raises DisconnectedGraphError if disconnected."""
         return self._extremes[1]
+
+    @cached_property
+    def _dfs(self) -> tuple:
+        """(order, parent, cut, indptr, nbrs) for approx.choose_L's rounds.
+
+        One low-link depth-first search from vertex 0, neighbours ascending:
+        order is its preorder, parent[v] is v's DFS parent (-1 at the root),
+        and cut[v] says whether G - parent[v] cuts v's subtree off, that is
+        low[v] >= disc[parent[v]].  nbrs[indptr[v]:indptr[v + 1]] are v's
+        neighbours ascending, in int64 arrays.  Only the root's component is
+        searched."""
+        sorted_adj = [sorted(a) for a in self.adj]
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum([len(a) for a in sorted_adj], out=indptr[1:])
+        nbrs = np.fromiter(chain.from_iterable(sorted_adj), np.int64, int(indptr[-1]))
+        disc = [-1] * self.n
+        low = [0] * self.n
+        parent = [-1] * self.n
+        cut = [False] * self.n
+        disc[0], order = 0, [0]
+        stack = [(0, iter(sorted_adj[0]))]
+        while stack:
+            u, ahead = stack[-1]
+            for v in ahead:
+                d = disc[v]
+                if d < 0:
+                    parent[v] = u
+                    disc[v] = low[v] = len(stack)  # its depth: only ancestors are compared
+                    order.append(v)
+                    stack.append((v, iter(sorted_adj[v])))
+                    break
+                if d < low[u]:  # not min(): this loop is the hot path
+                    low[u] = d
+            else:
+                stack.pop()
+                p = parent[u]
+                if p >= 0:
+                    if low[u] < low[p]:
+                        low[p] = low[u]
+                    cut[u] = low[u] >= disc[p]
+        return order, parent, cut, indptr, nbrs
 
 
 @dataclass(frozen=True)

@@ -49,17 +49,26 @@ def grid_graph(rows: int, cols: int) -> Graph:
 def gnp_connected(n: int, p: float, seed: int, max_tries: int = 1000) -> Graph:
     """Erdos-Renyi G(n, p), resampled until connected.
 
-    Deterministic for a fixed (n, p, seed).
+    Deterministic for a fixed (n, p, seed).  Each try flips one coin per pair
+    (u, v), u < v, in row-major order; a try that leaves a vertex isolated is
+    rejected before any Graph is built.
     """
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
+    if n < 1:
+        return Graph(n, ())  # raises Graph's MalformedInputError
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    row_len = np.arange(n - 1, -1, -1)  # pairs (u, v > u) in row u
+    row_start = np.cumsum(row_len) - row_len
     for _ in range(max_tries):
         # One draw per pair in this order, the same doubles as one
         # rng.random() call per pair.
-        coins = rng.random(len(pairs)).tolist()
-        g = Graph(n, [e for e, coin in zip(pairs, coins) if coin < p])
+        hits = np.flatnonzero(rng.random(n * (n - 1) // 2) < p)
+        u = np.searchsorted(row_start, hits, side="right") - 1
+        v = hits - row_start[u] + u + 1
+        if n > 1 and not np.bincount(np.concatenate([u, v]), minlength=n).all():
+            continue  # an isolated vertex
+        g = Graph(n, zip(u.tolist(), v.tolist()))
         if g.is_connected():
             return g
     raise RuntimeError(f"no connected G({n}, {p}) sample in {max_tries} tries")

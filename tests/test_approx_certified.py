@@ -7,7 +7,9 @@ point of `build_flow_lp(g, W, D)` at z = 2, and the LP's own optimum there is
 `choose_L` returns the LP's answer; where one does, `solve_tc` never needs
 the LP at all.  `_forced_inflow` meets its definition and never exceeds the
 LP's z, and the scan it stops picks the same step count and flow as a scan
-that assumes only z >= 0.
+that assumes only z >= 0.  Both functions match, call for call, the
+versions in `approx_reference.py` that rebuilt the graph's search and arrays
+on every call, and `solve_tc` builds those arrays once per graph.
 """
 
 import dataclasses
@@ -16,9 +18,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
+import approx_reference
 from tokensched import approx
 from tokensched.approx import (
     LP_TOLERANCE,
@@ -93,6 +96,40 @@ def test_certified_flow_is_an_lp_optimum(inst):
     # sample_paths reads a certified flow's paths off; walking it gives them too.
     walked = sample_paths(dataclasses.replace(flow, method="lp"), d, W, seed=7)
     assert sample_paths(flow, d, W, seed=7) == walked == tuple(paths[w] for w in W)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(holder_instances())
+# Swapping the halves A and B changes the flows here; most small draws hide it.
+@example((Graph(7, [(0, 1), (0, 2), (0, 6), (1, 2), (1, 3), (1, 5), (1, 6), (2, 3), (2, 6),
+                    (3, 4), (3, 6)]), [2, 4, 5, 6]))
+@example((grid_graph(6, 7), list(range(42))))
+def test_certificate_matches_the_reference(inst):
+    g, W = inst
+    assert _forced_inflow(g, W) == approx_reference._forced_inflow(g, W)
+    d = max(1, g.diameter())
+    for L in (1, d, 2 * d):
+        got, want = _certified_flow(g, W, L), approx_reference._certified_flow(g, W, L)
+        event(f"L = {L // d} D: {'certified' if want else 'no certificate'}")
+        if want is None:
+            assert got is None
+        else:
+            fields = ("flows", "W", "steps", "z", "method")
+            assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+
+
+def test_graph_arrays_built_once(monkeypatch):
+    # Every certified round reads the search twice, for the cut-vertex bound
+    # and for the certificate's preorder; it runs once per graph.
+    built = []
+    dfs = Graph.__dict__["_dfs"]
+    build = dfs.func
+    monkeypatch.setattr(dfs, "func", lambda g: built.append(g) or build(g))
+    g = grid_graph(8, 8)
+    rows = []
+    solve_tc(g, NetworkParams(1, 2), seed=1, report=rows)
+    assert [r.flow for r in rows].count("certified") == 3
+    assert built == [g]
 
 
 def forced_inflow_reference(g, W) -> int:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import approx_reference
 from tokensched.core import (
     COMPUTE,
     SEND,
@@ -30,7 +31,13 @@ from tokensched.core import (
 )
 from tokensched.complete import opt_complete
 from tokensched.files import format_graph
-from tokensched.generators import complete_graph, grid_graph, path_graph, star_graph
+from tokensched.generators import (
+    complete_graph,
+    gnp_connected,
+    grid_graph,
+    path_graph,
+    star_graph,
+)
 
 P11 = NetworkParams(1, 1)
 
@@ -100,6 +107,22 @@ def _outcome(fn, *args):
         return fn(*args)
     except (InvalidScheduleError, MalformedInputError) as e:
         return type(e), str(e)
+
+
+def _sample(gnp, n, p, seed):
+    """The neighbours of each node in iteration order, or the error message."""
+    try:
+        return [list(a) for a in gnp(n, p, seed, max_tries=20).adj]
+    except RuntimeError as e:
+        return str(e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 24), st.sampled_from([0.0, 0.05, 0.15, 0.3, 0.5, 0.9, 1.0]),
+       st.integers(0, 2**32))
+@example(100, 0.06, 2)
+def test_gnp_samples_match_the_reference(n, p, seed):
+    assert _sample(gnp_connected, n, p, seed) == _sample(approx_reference.gnp_connected, n, p, seed)
 
 
 def test_complete_graph_equals_graph_over_all_pairs():
