@@ -3,9 +3,10 @@
 Shows the stages one at a time on a random connected graph: the congestion
 flow over the time-expanded graph (certified optimal, or solved as an LP),
 random-walk path sampling, path direction,
-and a route-and-compute round; then runs the full solver, which ends with
-a left shift of its concatenated fragments, and prints its per-iteration
-report and the rounds the shift saved.
+and a route-and-compute round; then runs the full solver, which times all
+its fragments' actions at once with the greedy engine of core.left_shift,
+and prints its per-iteration report and the rounds that timing saved over
+the fragments laid end to end.
 """
 
 from tokensched import (
@@ -60,9 +61,9 @@ print("== The full solver ==")
 rows = []
 sched = solve_tc(g, p, seed=7, report=rows)
 assembled = sum(r.fragment_rounds for r in rows)
-print(f"  length {sched.length} ({assembled} concatenated, left-shifted by core.left_shift), "
+print(f"  length {sched.length} ({assembled} concatenated, timed as core.left_shift does), "
       f"valid={validate_schedule(g, p, sched).valid}")
-print("  sends name no token: the shift moves each node's oldest one")
+print("  sends name no token: each moves its node's oldest one")
 print(f"  lower bound {lower_bounds(g, p)[2]}, naive upper bound {trivial_upper_bound(g, p)}")
 print("  iter holders   L      z con dil src rounds router flow")
 for r in rows:

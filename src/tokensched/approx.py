@@ -25,13 +25,17 @@ form from them, and the flow is read off the max-flow result's own arrays.
 
 Routing delays merges when computation dominates (t_c > t_m) and merges
 eagerly en route otherwise.  Both routers run in lock step, one send per
-node per step of t_m rounds; merge-on-collision stops forwarding at the first
-step where nothing moves.  The last few holders are aggregated greedily on a
-shortest-path tree.
+node per step of t_m rounds.  Route-then-merge forwards packets first in,
+first out, all starting at once, with none of the paper's random delays;
+merge-on-collision stops forwarding at the first step where nothing moves.
+The last few holders are aggregated greedily on a shortest-path tree.
 
-The loop keeps one token count per node and ends with a left shift
-(core.left_shift) of its concatenated fragments, so solve_tc's SENDs are
-unnamed; the shifted schedule is validated before it is returned.
+The routers and the endgame only give each node's order of actions.  The
+loop keeps one token count per node, appends every fragment's actions to
+per-node queues, and times them all with one core._asap call, as
+core.left_shift would time the fragments concatenated end to end.  So
+solve_tc's SENDs are unnamed and its schedule is never longer than its
+fragments laid end to end; it is validated before it is returned.
 
 All randomness flows from one 64-bit seed through named spawn keys, so runs
 are reproducible action-for-action.
@@ -42,7 +46,6 @@ from __future__ import annotations
 import math
 from collections import Counter, deque
 from dataclasses import dataclass
-from heapq import heappop, heappush
 
 import numpy as np
 
@@ -55,8 +58,8 @@ from .core import (
     Graph,
     NetworkParams,
     Schedule,
+    _asap,
     ceil_log2,
-    left_shift,
     simulate,  # noqa: F401  (bench/test_bench.py checks tracing restores approx.simulate)
     trivial_upper_bound,
     validate_schedule,
@@ -66,7 +69,6 @@ from .paths import DirectedPathSet, excise_loops
 LP_TOLERANCE = 1e-6
 FLOW_EPS = 1e-9
 WALK_RETRIES = 100
-ROUTE_ATTEMPTS = 20
 FALLBACK_W = 12  # at or below this many holders, aggregate on a tree instead of solving LPs
 
 
@@ -550,73 +552,57 @@ def assign_paths(paths, W) -> DirectedPathSet:
     return ps
 
 
-def opt_route(g: Graph, p: NetworkParams, dp: DirectedPathSet, seed: int) -> Schedule:
-    """Send every source token to its sink along its path (SENDs only).
+def opt_route(g: Graph, p: NetworkParams, dp: DirectedPathSet) -> Schedule:
+    """Send every source token to its sink along its path (unnamed SENDs only).
 
     Routing runs in lock step: step k starts at round 1 + k * t_m, and a
-    send takes the whole step.  Packets take independent uniform random
-    starting delays in [0, con) steps and then pipeline; at each step every
-    node with a ready packet sends the one that became ready first (ties to
-    the earlier queued), and receiving is free.  If the makespan exceeds
-    8 * (con + dil) * ceil(log2(n + 2)) steps the delays are redrawn, up to
-    ROUTE_ATTEMPTS times, keeping the best run.  Each SEND names its packet
-    by the path's source, as when every source starts with its own
-    singleton; solve_tc's left shift drops the names.
+    send takes the whole step.  Every packet starts at step 0, with no
+    delay.  At each step every node that holds a packet sends the one that
+    reached it first (packets landing together queue in their senders' id
+    order), and what it sends lands before the next step.  The declared
+    length is the last occupied round.
+
+    First-in-first-out forwarding is work-conserving: at each of the at
+    most dil nodes it is sent from, a packet waits behind at most con - 1
+    others, so routing takes at most con * dil steps.  That is all a
+    fragment promises; the paper's O((con + dil) log n) steps w.h.p. come
+    from random start delays, which are not drawn.  In solve_tc only each
+    node's order of sends survives, and its core._asap timing never
+    lengthens what it is given.
     """
     dp.check_endpoints()
-    con, dil = dp.con, dp.dil
-    cutoff = 8 * (con + dil) * ceil_log2(g.n + 2) * p.t_m
-    best = None  # (makespan, actions)
-    for attempt in range(ROUTE_ATTEMPTS):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(seed, spawn_key=(1000 + attempt,))
-        )
-        delays = {
-            path: int(rng.integers(0, max(con, 1))) for path in dp.paths
-        }
-        actions, makespan = _route_once(p, dp, delays)
-        if best is None or makespan < best[0]:
-            best = (makespan, actions)
-        if best[0] <= cutoff:
-            break
-    makespan, actions = best[0], best[1]
-    return Schedule(makespan, actions)
-
-
-def _route_once(p, dp, delays):
-    """One lock-step run; returns the actions and the last occupied round."""
-    queues = {}  # node -> heap of (ready step, seq, path, position on it)
-    for seq, path in enumerate(dp.paths):
-        heappush(queues.setdefault(path[0], []), (delays[path], seq, path, 0))
-    seq = len(dp.paths)
+    queues = {}  # node -> FIFO of (path, position on it)
+    for path in dp.paths:
+        queues.setdefault(path[0], deque()).append((path, 0))
     actions = []
     step = 0
     while queues:
         r = 1 + step * p.t_m
+        # A packet queued in this step waits behind its node's older ones,
+        # and a node first queued in it is not in this step's list, so no
+        # packet moves twice in one step.
         for u in sorted(queues):
             queue = queues[u]
-            if queue[0][0] > step:
-                continue
-            _, _, path, at = heappop(queue)
+            path, at = queue.popleft()
             if not queue:
                 del queues[u]
             nxt = path[at + 1]
-            actions.append(Action(r, u, SEND, nxt, path[0]))
+            actions.append(Action(r, u, SEND, nxt))
             if at + 2 < len(path):
-                heappush(queues.setdefault(nxt, []), (step + 1, seq, path, at + 1))
-                seq += 1
+                queues.setdefault(nxt, deque()).append((path, at + 1))
         step += 1
-    return tuple(actions), step * p.t_m
+    return Schedule(step * p.t_m, tuple(actions))
 
 
-def route_paths_m(g: Graph, p: NetworkParams, dp: DirectedPathSet, seed: int) -> Schedule:
+def route_paths_m(g: Graph, p: NetworkParams, dp: DirectedPathSet) -> Schedule:
     """Route all source tokens to their sinks, then merge once at every sink.
 
     The merge-last strategy for t_c > t_m: sinks stay idle until routing has
     finished, then each sink folds its arrived token into its own, cutting
-    the token count by exactly the number of paths.
+    the token count by exactly the number of paths.  The length is at most
+    t_m * con * dil + t_c, by opt_route's bound.
     """
-    routed = opt_route(g, p, dp, seed)
+    routed = opt_route(g, p, dp)
     compute_round = routed.length + 1
     computes = tuple(Action(compute_round, s, COMPUTE) for s in sorted(dp.sinks))
     return Schedule(routed.length + p.t_c, routed.actions + computes)
@@ -714,12 +700,21 @@ def solve_tc(g: Graph, p: NetworkParams, seed: int, report: list | None = None) 
     """Full approximation loop: pair-and-merge a constant fraction of token
     holders per iteration until one token remains.
 
-    Deterministic for fixed (graph, params, seed).  Finishes with greedy
-    aggregation (complete.tree_schedule) on a shortest-path tree once at most
-    FALLBACK_W holders remain or an iteration yields no usable paths.  The
-    concatenated fragments are left-shifted (core.left_shift), so the length
-    is the last occupied round and report rows' fragment_rounds may sum to
-    more.  Raises DisconnectedGraphError on a disconnected graph, and
+    Deterministic for fixed (graph, params, seed); the seed drives only the
+    path sampling.  Finishes with greedy aggregation
+    (complete.tree_schedule) on a shortest-path tree once at most
+    FALLBACK_W holders remain or an iteration yields no usable paths.
+
+    Each fragment's actions join per-node queues in its order, and one
+    core._asap call times them all, as core.left_shift would time the
+    fragments concatenated end to end: every action starts at the first
+    round at which its node is free and holds its tokens.  That timing
+    never lengthens what it is given, so the length, the last occupied
+    round, is at most the sum of the report rows' fragment_rounds, each
+    within its router's bound (opt_route's con * dil steps, not the
+    paper's random-delay bound).
+
+    Raises DisconnectedGraphError on a disconnected graph, and
     IterationCapError after 24 * ceil(log2 n) + 8 iterations (which
     indicates a bug, not bad luck).
     """
@@ -730,21 +725,18 @@ def solve_tc(g: Graph, p: NetworkParams, seed: int, report: list | None = None) 
     if g.n == 1:
         return Schedule(0)
     counts = [1] * g.n
-    actions = []
-    offset = 0
+    queues = [[] for _ in range(g.n)]  # each node's (kind, target) actions in order
     cap = 24 * ceil_log2(g.n) + 8
 
     def append(frag: Schedule, stats_prefix, router, flow="-"):
-        nonlocal offset
         if frag.actions:
-            for a in frag.actions:
-                counts[a.node] -= 1  # a merge's second operand, or a send's token
-                if a.kind == SEND:
-                    counts[a.target] += 1
-                actions.append(a._replace(start_round=a.start_round + offset))
+            for _, v, kind, target, _ in frag.actions:  # canonical order: by start round
+                counts[v] -= 1  # a merge's second operand, or a send's token
+                if kind == SEND:
+                    counts[target] += 1
+                queues[v].append((kind, target))
             if report is not None:
                 report.append(IterationStats(*stats_prefix, frag.length, router, flow))
-            offset += frag.length
 
     iteration = 0
     while True:
@@ -769,7 +761,7 @@ def solve_tc(g: Graph, p: NetworkParams, seed: int, report: list | None = None) 
             append(frag, (iteration, len(holders), L, flow.z, 0, 0, len(holders) - 1), "fallback")
             continue
         if p.t_c > p.t_m:
-            frag = route_paths_m(g, p, dp, _iter_seed(seed, iteration))
+            frag = route_paths_m(g, p, dp)
             router = "m"
         else:
             frag = route_paths_c(g, p, dp, counts)
@@ -777,7 +769,7 @@ def solve_tc(g: Graph, p: NetworkParams, seed: int, report: list | None = None) 
         append(frag, (iteration, len(holders), L, flow.z, dp.con, dp.dil, len(dp)),
                router, flow.method)
 
-    sched = left_shift(g, p, Schedule(offset, actions))
+    sched = Schedule(*reversed(_asap(p, queues, [1] * g.n)))
     final = validate_schedule(g, p, sched)
     if not final.valid:
         raise RuntimeError(f"assembled schedule is invalid: {final.violation}")

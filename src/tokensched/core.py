@@ -272,8 +272,9 @@ class Action(namedtuple("Action", "start_round node kind target token",
     fields.  The one trusted constructor, `tuple.__new__(Action, fields)`,
     skips those checks; only bulk builders that have checked the fields
     themselves use it: `files.parse_schedule`, and `core._asap`, whose
-    callers queue only SEND with a target and COMPUTE.  Like any tuple, an
-    Action equals the plain tuple of its fields.
+    callers (`left_shift`, the tree and gadget schedulers, and
+    `approx.solve_tc`) queue only SEND with a target and COMPUTE.  Like any
+    tuple, an Action equals the plain tuple of its fields.
     """
 
     __slots__ = ()
@@ -610,7 +611,8 @@ def _asap(p: NetworkParams, queues: list, held: list) -> tuple:
     the trusted Action constructor; held[v] is v's starting token count.
     Each action starts at the first round at which its node is free and
     holds a token for a SEND, two for a COMPUTE; tokens landing at a round
-    count before that round's starts.
+    count before that round's starts.  Its callers (left_shift, the tree and
+    gadget schedulers, approx.solve_tc) only build the queues.
 
     Rounds are visited in buckets: one list of landings and one of starts
     per round, and a heap of the distinct rounds only, so the cost is

@@ -1,20 +1,30 @@
-"""Independent references for the certificate of `tokensched.approx` and the
-random graphs of `tokensched.generators`.
+"""Independent references for the certificate and the router of
+`tokensched.approx` and the random graphs of `tokensched.generators`.
 
 `_dfs_preorder`, `_certified_flow` and `_forced_inflow` are the functions
 `approx` replaced, kept as they were: every call runs its own depth-first
 search, builds the node-split capacity matrix through a COO to CSR
 conversion and reads the flow back by sparse fancy indexing.
 `gnp_connected` is the sampler `generators` replaced, which flips one coin
-per pair of a Python list of all n(n - 1)/2 pairs.  On every input the
-functions in `approx` and `generators` must return the same.
+per pair of a Python list of all n(n - 1)/2 pairs.  On every input these
+functions must return what those in `approx` and `generators` return.
+
+`opt_route` and `_route_once` are the router `approx` replaced, kept as
+they were: packets take random start delays, queue in one heap per node
+keyed by (ready step, arrival order), and each send is named by its path's
+source.  With every delay 0, `_route_once` must send what `approx.opt_route`
+sends, at the same rounds, from the same nodes, to the same targets.
 """
+
+from heapq import heappop, heappush
 
 import numpy as np
 
 from tokensched.approx import FlowSolution
-from tokensched.core import Graph
-from tokensched.paths import excise_loops
+from tokensched.core import SEND, Action, Graph, NetworkParams, Schedule, ceil_log2
+from tokensched.paths import DirectedPathSet, excise_loops
+
+ROUTE_ATTEMPTS = 20
 
 
 def _dfs_preorder(g: Graph) -> list:
@@ -158,6 +168,65 @@ def _forced_inflow(g: Graph, W) -> int:
         own = int(c in wset)
         bound = max(bound, own + lone[c] + (total - own - cut_off[c] == 1))
     return bound
+
+
+def opt_route(g: Graph, p: NetworkParams, dp: DirectedPathSet, seed: int) -> Schedule:
+    """Send every source token to its sink along its path (SENDs only).
+
+    Routing runs in lock step: step k starts at round 1 + k * t_m, and a
+    send takes the whole step.  Packets take independent uniform random
+    starting delays in [0, con) steps and then pipeline; at each step every
+    node with a ready packet sends the one that became ready first (ties to
+    the earlier queued), and receiving is free.  If the makespan exceeds
+    8 * (con + dil) * ceil(log2(n + 2)) steps the delays are redrawn, up to
+    ROUTE_ATTEMPTS times, keeping the best run.  Each SEND names its packet
+    by the path's source, as when every source starts with its own
+    singleton; solve_tc's left shift drops the names.
+    """
+    dp.check_endpoints()
+    con, dil = dp.con, dp.dil
+    cutoff = 8 * (con + dil) * ceil_log2(g.n + 2) * p.t_m
+    best = None  # (makespan, actions)
+    for attempt in range(ROUTE_ATTEMPTS):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(seed, spawn_key=(1000 + attempt,))
+        )
+        delays = {
+            path: int(rng.integers(0, max(con, 1))) for path in dp.paths
+        }
+        actions, makespan = _route_once(p, dp, delays)
+        if best is None or makespan < best[0]:
+            best = (makespan, actions)
+        if best[0] <= cutoff:
+            break
+    makespan, actions = best[0], best[1]
+    return Schedule(makespan, actions)
+
+
+def _route_once(p, dp, delays):
+    """One lock-step run; returns the actions and the last occupied round."""
+    queues = {}  # node -> heap of (ready step, seq, path, position on it)
+    for seq, path in enumerate(dp.paths):
+        heappush(queues.setdefault(path[0], []), (delays[path], seq, path, 0))
+    seq = len(dp.paths)
+    actions = []
+    step = 0
+    while queues:
+        r = 1 + step * p.t_m
+        for u in sorted(queues):
+            queue = queues[u]
+            if queue[0][0] > step:
+                continue
+            _, _, path, at = heappop(queue)
+            if not queue:
+                del queues[u]
+            nxt = path[at + 1]
+            actions.append(Action(r, u, SEND, nxt, path[0]))
+            if at + 2 < len(path):
+                heappush(queues.setdefault(nxt, []), (step + 1, seq, path, at + 1))
+                seq += 1
+        step += 1
+    return tuple(actions), step * p.t_m
 
 
 def gnp_connected(n: int, p: float, seed: int, max_tries: int = 1000) -> Graph:

@@ -1,5 +1,8 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import approx_reference
 from tokensched.core import (
     Graph,
     NetworkParams,
@@ -26,7 +29,7 @@ def test_single_path_no_contention():
     dp = DirectedPathSet(((0, 1, 2, 3),))
     for tm in (1, 2):
         p = NetworkParams(1, tm)
-        frag = opt_route(g, p, dp, seed=3)
+        frag = opt_route(g, p, dp)
         assert frag.length == 3 * tm  # one hop per t_m, no delays at con = 1
         assert len(frag.actions) == 3
 
@@ -36,7 +39,7 @@ def test_two_disjoint_paths():
     # Two vertex-disjoint directed paths of lengths 2 and 1.
     dp = DirectedPathSet(((0, 1, 2), (5, 4)))
     p = NetworkParams(1, 3)
-    frag = opt_route(g, p, dp, seed=0)
+    frag = opt_route(g, p, dp)
     assert frag.length == 3 * 2  # t_m * max length
 
 
@@ -47,7 +50,7 @@ def test_shared_bottleneck_vertex():
     g = Graph(2 * k + 1, edges)
     dp = DirectedPathSet(tuple((i, k, k + 1 + i) for i in range(k)))
     p = NetworkParams(1, 2)
-    frag = opt_route(g, p, dp, seed=1)
+    frag = opt_route(g, p, dp)
     # The middle vertex forwards k tokens one at a time.
     assert frag.length >= p.t_m * k
     assert frag.length <= p.t_m * (k + 2 + (dp.con - 1))
@@ -60,26 +63,26 @@ def test_opt_route_deterministic():
     g = gnp_connected(10, 0.4, seed=6)
     dp = DirectedPathSet(((0, 1), (2, 3)) if g.has_edge(0, 1) and g.has_edge(2, 3)
                          else ((0, sorted(g.adj[0])[0]),))
-    a = opt_route(g, P11, dp, seed=9)
-    b = opt_route(g, P11, dp, seed=9)
+    a = opt_route(g, P11, dp)
+    b = opt_route(g, P11, dp)
     assert a == b
 
 
 def test_opt_route_is_pinned():
-    # Node 1 holds its own packet and packet 0 at once, and node 0 later
-    # holds packets 1 and 2 at once: both queues are served in order.
-    paths = ((0, 1, 9), (1, 0, 8), (2, 0, 6, 7))
-    g = Graph(10, [(0, 1), (0, 2), (0, 6), (0, 8), (1, 9), (6, 7)])
+    # Node 0 holds the packets of sources 1 and 2 at once, and node 5 later
+    # holds those of sources 1 and 3 at once: both queues are served in order.
+    paths = ((1, 0, 5, 8), (2, 0, 6), (3, 4, 5, 7))
+    g = Graph(9, [(0, 1), (0, 2), (0, 5), (0, 6), (3, 4), (4, 5), (5, 7), (5, 8)])
     dp = DirectedPathSet(paths)
-    assert dp.con == 3
+    assert dp.con == 2
     pinned = {
-        (2, 1): (5, [(1, 0, 1, 0), (2, 1, 0, 1), (2, 2, 0, 2), (3, 0, 8, 1),
-                     (3, 1, 9, 0), (4, 0, 6, 2), (5, 6, 7, 2)]),
-        (3, 2): (10, [(1, 0, 1, 0), (3, 1, 0, 1), (3, 2, 0, 2), (5, 0, 8, 1),
-                      (5, 1, 9, 0), (7, 0, 6, 2), (9, 6, 7, 2)]),
+        (2, 1): (4, [(1, 1, 0, None), (1, 2, 0, None), (1, 3, 4, None), (2, 0, 5, None),
+                     (2, 4, 5, None), (3, 0, 6, None), (3, 5, 8, None), (4, 5, 7, None)]),
+        (3, 2): (8, [(1, 1, 0, None), (1, 2, 0, None), (1, 3, 4, None), (3, 0, 5, None),
+                     (3, 4, 5, None), (5, 0, 6, None), (5, 5, 8, None), (7, 5, 7, None)]),
     }
     for (tc, tm), (length, sends) in pinned.items():
-        frag = opt_route(g, NetworkParams(tc, tm), dp, seed=5)
+        frag = opt_route(g, NetworkParams(tc, tm), dp)
         assert frag.length == length
         assert [(a.start_round, a.node, a.target, a.token) for a in frag.actions] == sends
 
@@ -89,7 +92,7 @@ def test_route_m_single_path():
     dp = DirectedPathSet(((0, 1),))
     for tc, tm in [(3, 1), (2, 1)]:
         p = NetworkParams(tc, tm)
-        frag = route_paths_m(g, p, dp, seed=4)
+        frag = route_paths_m(g, p, dp)
         assert frag.length == tm + tc
         state = simulate(g, p, frag, start=synthetic_state(g, dp))[-1]
         assert state.total_tokens() == 1
@@ -103,7 +106,7 @@ def test_route_m_reduces_by_exactly_u():
         if dp is None:
             continue
         state0 = synthetic_state(g, dp)
-        frag = route_paths_m(g, p, dp, seed=trial)
+        frag = route_paths_m(g, p, dp)
         state = simulate(g, p, frag, start=state0)[-1]
         assert state0.total_tokens() - state.total_tokens() == len(dp)
 
@@ -196,3 +199,35 @@ def test_route_c_forwarders_hold_only_the_token_they_send():
                     a = a._replace(token=min(held))
                 named.append(a)
             assert simulate(g, p, Schedule(frag.length, named), start=start)[-1] == trace[-1]
+
+
+@st.composite
+def path_set_instances(draw):
+    """Drawn like the acceptance suite's path sets: gnp_connected(n, 0.35)
+    on 8 to 17 nodes and up to four shortest paths, each between two fresh
+    random endpoints, the lowest-id way on."""
+    n = draw(st.integers(8, 17))
+    g = gnp_connected(n, 0.35, seed=draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, 4))
+    nodes = draw(st.permutations(range(n)))[: 2 * k]
+    paths = []
+    for src, dst in zip(nodes[0::2], nodes[1::2]):
+        dist = g.bfs_distances(dst)
+        path = [src]
+        while path[-1] != dst:
+            path.append(min(u for u in g.adj[path[-1]] if dist[u] == dist[path[-1]] - 1))
+        paths.append(tuple(path))
+    return g, DirectedPathSet(tuple(paths))
+
+
+@settings(max_examples=100, deadline=None)
+@given(path_set_instances(), st.integers(1, 3))
+def test_opt_route_matches_the_reference_without_delays(inst, tm):
+    g, dp = inst
+    p = NetworkParams(1, tm)
+    frag = opt_route(g, p, dp)
+    want, makespan = approx_reference._route_once(p, dp, dict.fromkeys(dp.paths, 0))
+    assert frag.length == makespan
+    assert [(a.start_round, a.node, a.target) for a in frag.actions] == sorted(
+        (a.start_round, a.node, a.target) for a in want)
+    assert all(a.token is None for a in frag.actions)

@@ -110,7 +110,7 @@ def test_bench_shapes_are_pinned():
         "cycle60@1,2": 71, "cycle60@2,1": 46, "star30@1,2": 31, "star30@2,1": 37,
     }
     assert h.hexdigest() == (
-        "a79ed0ff72ce0cd7380d60452a87911c5808e33ba90856cf9f1a9882083f5e6d"
+        "7d83e1ec6821d0be72f44369f780cc8e847f48b0fc273e6f76c45216e88b1c0b"
     )
 
 
