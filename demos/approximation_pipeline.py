@@ -22,7 +22,7 @@ from tokensched.approx import (
     route_paths_c,
     sample_paths,
 )
-from tokensched.core import initial_state, state_changes
+from tokensched.core import initial_state, simulate
 from tokensched.generators import gnp_connected
 
 g = gnp_connected(18, 0.25, seed=42)
@@ -53,7 +53,7 @@ print(f"  sinks:   {dp.sinks}")
 print()
 print("== Stage 4: one route-and-compute round (merge-on-collision) ==")
 frag = route_paths_c(g, p, dp, counts=[1] * g.n)
-after = state_changes(g, p, frag, start=initial_state(g))[-1][1]
+after = simulate(g, p, frag, start=initial_state(g))[-1][1]
 print(f"  fragment of {frag.length} rounds; tokens {g.n} -> {after.total_tokens()}")
 
 print()

@@ -552,7 +552,7 @@ def assign_paths(paths, W) -> DirectedPathSet:
     return ps
 
 
-def opt_route(g: Graph, p: NetworkParams, dp: DirectedPathSet) -> Schedule:
+def opt_route(p: NetworkParams, dp: DirectedPathSet) -> Schedule:
     """Send every source token to its sink along its path (unnamed SENDs only).
 
     Routing runs in lock step: step k starts at round 1 + k * t_m, and a
@@ -600,9 +600,10 @@ def route_paths_m(g: Graph, p: NetworkParams, dp: DirectedPathSet) -> Schedule:
     The merge-last strategy for t_c > t_m: sinks stay idle until routing has
     finished, then each sink folds its arrived token into its own, cutting
     the token count by exactly the number of paths.  The length is at most
-    t_m * con * dil + t_c, by opt_route's bound.
+    t_m * con * dil + t_c, by opt_route's bound.  g goes unread: it keeps
+    the call shape of route_paths_c, as solve_tc calls either router alike.
     """
-    routed = opt_route(g, p, dp)
+    routed = opt_route(p, dp)
     compute_round = routed.length + 1
     computes = tuple(Action(compute_round, s, COMPUTE) for s in sorted(dp.sinks))
     return Schedule(routed.length + p.t_c, routed.actions + computes)

@@ -96,9 +96,10 @@ def _twin_classes(g: Graph) -> list:
     return classes
 
 
-def _automorphisms(g: Graph) -> list:
+def _automorphisms(g: Graph, twins: list) -> list:
     """One automorphism of `g` per coset of the twin permutations, as tuples
     that map each vertex to its image, leaving out the identity's coset.
+    `twins` is `_twin_classes(g)`.
 
     Partial maps grow over the vertices in id order, each vertex going to an
     unused vertex of its degree whose adjacency to the vertices already
@@ -110,7 +111,7 @@ def _automorphisms(g: Graph) -> list:
     """
     adj = g.adj
     deg = [len(a) for a in adj]
-    class_of = {v: cls for cls in _twin_classes(g) for v in cls}
+    class_of = {v: cls for cls in twins for v in cls}
     maps = [()]
     for v in range(g.n):
         maps = [
@@ -165,7 +166,7 @@ class _Search:
         # but the identity's; `_canon` folds each coset into one key.  A
         # getter moves records by its map's inverse, and the inverses run
         # over the same cosets.
-        self.images = [itemgetter(*aut) for aut in _automorphisms(g)]
+        self.images = [itemgetter(*aut) for aut in _automorphisms(g, self.twins)]
         self.need = {}  # canonical state -> proven minimum slack
         self.by_place = {}  # token locations -> rounds they need by place alone
         self.recs = {}  # interned node records, shared by the table's keys

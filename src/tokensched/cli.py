@@ -24,7 +24,7 @@ from .core import (
     MalformedInputError,
     NetworkParams,
     lower_bounds,
-    state_changes,
+    simulate,
     validate_schedule,
 )
 from .domset import mds_apx, psi_transform
@@ -175,7 +175,7 @@ def _cmd_simulate(args) -> int:
     g = read_graph(args.graph)
     s = read_schedule(args.schedule)
     lines = []
-    for r, state in state_changes(g, p, s):
+    for r, state in simulate(g, p, s):
         holders = " ".join(
             f"{v}:{{{','.join(str(x) for x in sorted(tok))}}}"
             for v in range(g.n)

@@ -21,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 
-from .core import COMPUTE, SEND, NetworkParams, Schedule, _asap, _nogc
+from .core import COMPUTE, SEND, NetworkParams, Schedule, _asap, _iceil, _nogc
 
 
 def _sizes(p: NetworkParams):
@@ -178,10 +178,6 @@ def baseline_lengths(n: int, p: NetworkParams) -> tuple:
     if n == 1:
         return (0, 0, 0, 0)
     lg = math.log2(n)
-
-    def iceil(x: float) -> int:
-        return math.ceil(x - 1e-9)
-
-    naive = iceil(lg * (p.t_c + p.t_m) + lg * p.t_c)
-    pipelined = iceil(2 * p.t_c * lg + p.t_m * lg)
-    return (naive, pipelined, r_star(n, p), iceil(p.t_c * lg))
+    naive = _iceil(lg * (p.t_c + p.t_m) + lg * p.t_c)
+    pipelined = _iceil(2 * p.t_c * lg + p.t_m * lg)
+    return (naive, pipelined, r_star(n, p), _iceil(p.t_c * lg))

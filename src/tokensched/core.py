@@ -10,6 +10,7 @@ counts at the sender until delivery.
 from __future__ import annotations
 
 import gc
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, wraps
@@ -532,28 +533,20 @@ class _Replay:
 
 def simulate(g: Graph, p: NetworkParams, s: Schedule,
              start: TokenState | None = None) -> list:
-    """Token-placement trace of a schedule, one TokenState per round boundary.
+    """Token-placement trace of a schedule as its state changes:
+    [(r, TokenState after round r)] for r = 0, the state before round 1, and
+    then for every round after which the holdings changed, in increasing r.
+    The state after round r shows the effects landing at the start of round
+    r + 1, and it is that of the last entry at or before r; trace[-1][1] is
+    the final state.
 
-    trace[0] is the state before round 1; trace[r] is the state after round r
-    (with effects completing at the start of round r+1 already visible).
-    Raises InvalidScheduleError when the schedule breaks a structural rule
-    (bad window, busy overlap, send without a token, compute without two).
-    Full aggregation is not required; callers inspect the final state.
-    Boundaries where nothing landed share one TokenState object.
+    Costs one TokenState, O(n) each, per round with a change, on top of the
+    replay's O(A + R log R) for A actions over R distinct rounds, whatever
+    the declared length.  Raises InvalidScheduleError when the schedule
+    breaks a structural rule (bad window, busy overlap, send without a
+    token, compute without two).  Full aggregation is not required; callers
+    inspect the final state.
     """
-    changes = state_changes(g, p, s, start)
-    trace = []
-    for (r, state), (after, _) in zip(changes, changes[1:] + [(s.length + 1, None)]):
-        trace.extend([state] * (after - r))
-    return trace
-
-
-def state_changes(g: Graph, p: NetworkParams, s: Schedule,
-                  start: TokenState | None = None) -> list:
-    """The sparse form of simulate: [(r, TokenState after round r)] for
-    r = 0 and then for every round after which the holdings changed.  Costs
-    O(A) in the number of actions A, whatever the declared length; raises
-    as simulate does."""
     states = _Replay(g, p, s, start, record_states=True).states
     return [(landed - 1, state) for landed, state in states]
 
@@ -687,6 +680,12 @@ def left_shift(g: Graph, p: NetworkParams, s: Schedule,
 def ceil_log2(n: int) -> int:
     """Smallest k with 2**k >= n, for n >= 1."""
     return (n - 1).bit_length()
+
+
+def _iceil(x: float) -> int:
+    """ceil(x), with x at most 1e-9 past an integer taken as that integer, so
+    float error in x does not add one."""
+    return math.ceil(x - 1e-9)
 
 
 def lower_bounds(g: Graph, p: NetworkParams) -> tuple:

@@ -11,7 +11,6 @@ set of the base graph.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from itertools import combinations
@@ -23,6 +22,7 @@ from .core import (
     NetworkParams,
     Schedule,
     _asap,
+    _iceil,
     validate_schedule,
 )
 
@@ -159,8 +159,11 @@ def schedule_from_dominating_set(gadget: PsiGadget, ds: DominatingSet) -> Schedu
     return Schedule(last, actions)
 
 
-def _iceil(x: float) -> int:
-    return math.ceil(x - 1e-9)
+def _copies(delta: int, eps: float) -> int:
+    """ceil(delta / eps) base copies, at least one; eps must be in (0, 1]."""
+    if not (0 < eps <= 1):
+        raise ValueError(f"eps must be in (0, 1], got {eps}")
+    return max(1, _iceil(delta / eps))
 
 
 def ds_from_schedule(gadget: PsiGadget, s: Schedule, eps: float) -> DominatingSet:
@@ -171,8 +174,7 @@ def ds_from_schedule(gadget: PsiGadget, s: Schedule, eps: float) -> DominatingSe
     the hub; the smallest candidate is returned (ties to the lowest copy).
     Requires a valid schedule shorter than 3 * t_m.
     """
-    if not (0 < eps <= 1):
-        raise ValueError(f"eps must be in (0, 1], got {eps}")
+    copies = _copies(gadget.base.max_degree(), eps)
     if s.length >= 3 * gadget.t_m:
         raise ValueError(
             f"schedule length {s.length} is not below 3*t_m = {3 * gadget.t_m}"
@@ -180,8 +182,6 @@ def ds_from_schedule(gadget: PsiGadget, s: Schedule, eps: float) -> DominatingSe
     report = validate_schedule(gadget.graph, gadget.params, s)
     if not report.valid:
         raise ValueError(f"schedule is invalid on the gadget: {report.violation}")
-    delta = gadget.base.max_degree()
-    copies = max(1, _iceil(delta / eps))
     if gadget.base.n % copies != 0:
         raise ValueError(
             f"gadget base has {gadget.base.n} nodes, not divisible into {copies} copies"
@@ -215,13 +215,11 @@ def mds_apx(g: Graph, scheduler, eps: float) -> DominatingSet:
     candidate; with no candidate at all, the full vertex set with a warning.
     The recovered-size guarantee holds only for near-optimal schedulers.
     """
-    if not (0 < eps <= 1):
-        raise ValueError(f"eps must be in (0, 1], got {eps}")
     delta = g.max_degree()
+    copies = _copies(delta, eps)
     if delta == 0:
         # Isolated vertices dominate only themselves.
         return make_dominating_set(g, range(g.n)) if g.n else DominatingSet(frozenset(), {})
-    copies = max(1, _iceil(delta / eps))
     base = disjoint_copies(g, copies)
     best = None
     for k_hat in range(1, g.n + 1):

@@ -263,10 +263,10 @@ def test_criterion_10_route_and_compute_contracts():
         g, dp, state = _path_set_instance(rng, seed=7000 + i)
         frag_m = route_paths_m(g, p_m, dp)
         assert frag_m.length <= p_m.t_m * dp.con * dp.dil + p_m.t_c, i  # FIFO's bound
-        end_m = simulate(g, p_m, frag_m, start=state)[-1]
+        end_m = simulate(g, p_m, frag_m, start=state)[-1][1]
         assert state.total_tokens() - end_m.total_tokens() == len(dp), i
         frag_c = route_paths_c(g, p_c, dp)
-        end_c = simulate(g, p_c, frag_c, start=state)[-1]
+        end_c = simulate(g, p_c, frag_c, start=state)[-1][1]
         assert state.total_tokens() - end_c.total_tokens() >= len(dp) // 2, i
         assert all(len(end_c.tokens_at(v)) <= 1 for v in range(g.n)), i
         for p, frag in ((p_m, frag_m), (p_c, frag_c)):

@@ -1,3 +1,5 @@
+from bisect import bisect_right
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,21 +27,19 @@ def synthetic_state(g, dp):
 
 
 def test_single_path_no_contention():
-    g = path_graph(4)
     dp = DirectedPathSet(((0, 1, 2, 3),))
     for tm in (1, 2):
         p = NetworkParams(1, tm)
-        frag = opt_route(g, p, dp)
+        frag = opt_route(p, dp)
         assert frag.length == 3 * tm  # one hop per t_m, no delays at con = 1
         assert len(frag.actions) == 3
 
 
 def test_two_disjoint_paths():
-    g = path_graph(6)
-    # Two vertex-disjoint directed paths of lengths 2 and 1.
+    # Two vertex-disjoint directed paths of lengths 2 and 1 on the path 0-...-5.
     dp = DirectedPathSet(((0, 1, 2), (5, 4)))
     p = NetworkParams(1, 3)
-    frag = opt_route(g, p, dp)
+    frag = opt_route(p, dp)
     assert frag.length == 3 * 2  # t_m * max length
 
 
@@ -50,11 +50,11 @@ def test_shared_bottleneck_vertex():
     g = Graph(2 * k + 1, edges)
     dp = DirectedPathSet(tuple((i, k, k + 1 + i) for i in range(k)))
     p = NetworkParams(1, 2)
-    frag = opt_route(g, p, dp)
+    frag = opt_route(p, dp)
     # The middle vertex forwards k tokens one at a time.
     assert frag.length >= p.t_m * k
     assert frag.length <= p.t_m * (k + 2 + (dp.con - 1))
-    state = simulate(g, p, frag, start=synthetic_state(g, dp))[-1]
+    state = simulate(g, p, frag, start=synthetic_state(g, dp))[-1][1]
     for i in range(k):
         assert frozenset([i]) in state.tokens_at(k + 1 + i)
 
@@ -63,17 +63,15 @@ def test_opt_route_deterministic():
     g = gnp_connected(10, 0.4, seed=6)
     dp = DirectedPathSet(((0, 1), (2, 3)) if g.has_edge(0, 1) and g.has_edge(2, 3)
                          else ((0, sorted(g.adj[0])[0]),))
-    a = opt_route(g, P11, dp)
-    b = opt_route(g, P11, dp)
+    a = opt_route(P11, dp)
+    b = opt_route(P11, dp)
     assert a == b
 
 
 def test_opt_route_is_pinned():
     # Node 0 holds the packets of sources 1 and 2 at once, and node 5 later
     # holds those of sources 1 and 3 at once: both queues are served in order.
-    paths = ((1, 0, 5, 8), (2, 0, 6), (3, 4, 5, 7))
-    g = Graph(9, [(0, 1), (0, 2), (0, 5), (0, 6), (3, 4), (4, 5), (5, 7), (5, 8)])
-    dp = DirectedPathSet(paths)
+    dp = DirectedPathSet(((1, 0, 5, 8), (2, 0, 6), (3, 4, 5, 7)))
     assert dp.con == 2
     pinned = {
         (2, 1): (4, [(1, 1, 0, None), (1, 2, 0, None), (1, 3, 4, None), (2, 0, 5, None),
@@ -82,7 +80,7 @@ def test_opt_route_is_pinned():
                      (3, 4, 5, None), (5, 0, 6, None), (5, 5, 8, None), (7, 5, 7, None)]),
     }
     for (tc, tm), (length, sends) in pinned.items():
-        frag = opt_route(g, NetworkParams(tc, tm), dp)
+        frag = opt_route(NetworkParams(tc, tm), dp)
         assert frag.length == length
         assert [(a.start_round, a.node, a.target, a.token) for a in frag.actions] == sends
 
@@ -94,7 +92,7 @@ def test_route_m_single_path():
         p = NetworkParams(tc, tm)
         frag = route_paths_m(g, p, dp)
         assert frag.length == tm + tc
-        state = simulate(g, p, frag, start=synthetic_state(g, dp))[-1]
+        state = simulate(g, p, frag, start=synthetic_state(g, dp))[-1][1]
         assert state.total_tokens() == 1
 
 
@@ -107,7 +105,7 @@ def test_route_m_reduces_by_exactly_u():
             continue
         state0 = synthetic_state(g, dp)
         frag = route_paths_m(g, p, dp)
-        state = simulate(g, p, frag, start=state0)[-1]
+        state = simulate(g, p, frag, start=state0)[-1][1]
         assert state0.total_tokens() - state.total_tokens() == len(dp)
 
 
@@ -115,7 +113,7 @@ def test_route_c_single_short_path():
     g = path_graph(3)
     dp = DirectedPathSet(((0, 1, 2),))
     frag = route_paths_c(g, P11, dp)
-    state = simulate(g, P11, frag, start=synthetic_state(g, dp))[-1]
+    state = simulate(g, P11, frag, start=synthetic_state(g, dp))[-1][1]
     assert state.total_tokens() == 1
     assert state.tokens_at(2) == (frozenset({0, 2}),)
 
@@ -125,7 +123,7 @@ def test_route_c_crossing_paths_sleep_and_merge():
     g = Graph(5, [(0, 2), (1, 2), (2, 3), (2, 4)])
     dp = DirectedPathSet(((0, 2, 3), (1, 2, 4)))
     frag = route_paths_c(g, P11, dp)
-    state = simulate(g, P11, frag, start=synthetic_state(g, dp))[-1]
+    state = simulate(g, P11, frag, start=synthetic_state(g, dp))[-1][1]
     for v in range(g.n):
         assert len(state.tokens_at(v)) <= 1
     drop = 4 - state.total_tokens()
@@ -141,7 +139,7 @@ def test_route_c_reduces_by_half_of_u():
             continue
         state0 = synthetic_state(g, dp)
         frag = route_paths_c(g, p, dp)
-        state = simulate(g, p, frag, start=state0)[-1]
+        state = simulate(g, p, frag, start=state0)[-1][1]
         assert state0.total_tokens() - state.total_tokens() >= len(dp) // 2
         for v in range(g.n):
             assert len(state.tokens_at(v)) <= 1
@@ -191,14 +189,18 @@ def test_route_c_forwarders_hold_only_the_token_they_send():
         for p in (P11, NetworkParams(1, 2)):
             frag = route_paths_c(g, p, dp)
             trace = simulate(g, p, frag, start=start)
+            rounds = [r for r, _ in trace]
             named = []
             for a in frag.actions:
                 if a.kind == "SEND":
                     assert a.token is None
-                    (held,) = trace[a.start_round - 1].tokens_at(a.node)
+                    # the state after round start_round - 1: the last change by then
+                    _, before = trace[bisect_right(rounds, a.start_round - 1) - 1]
+                    (held,) = before.tokens_at(a.node)
                     a = a._replace(token=min(held))
                 named.append(a)
-            assert simulate(g, p, Schedule(frag.length, named), start=start)[-1] == trace[-1]
+            renamed = Schedule(frag.length, named)
+            assert simulate(g, p, renamed, start=start)[-1][1] == trace[-1][1]
 
 
 @st.composite
@@ -225,7 +227,7 @@ def path_set_instances(draw):
 def test_opt_route_matches_the_reference_without_delays(inst, tm):
     g, dp = inst
     p = NetworkParams(1, tm)
-    frag = opt_route(g, p, dp)
+    frag = opt_route(p, dp)
     want, makespan = approx_reference._route_once(p, dp, dict.fromkeys(dp.paths, 0))
     assert frag.length == makespan
     assert [(a.start_round, a.node, a.target) for a in frag.actions] == sorted(

@@ -50,12 +50,15 @@ def test_twin_classes():
 def test_automorphisms_skip_twin_permutations():
     # star_graph(10) has 9! automorphisms and K_10 has 10!, all twin
     # permutations, so neither has a coset besides the identity's.
+    def automorphisms(g):
+        return _automorphisms(g, _twin_classes(g))
+
     start = time.perf_counter()
-    assert _automorphisms(star_graph(10)) == []
-    assert _automorphisms(complete_graph(10)) == []
+    assert automorphisms(star_graph(10)) == []
+    assert automorphisms(complete_graph(10)) == []
     assert time.perf_counter() - start < 1
-    assert _automorphisms(path_graph(6)) == [(5, 4, 3, 2, 1, 0)]
-    assert len(_automorphisms(cycle_graph(5))) == 9
+    assert automorphisms(path_graph(6)) == [(5, 4, 3, 2, 1, 0)]
+    assert len(automorphisms(cycle_graph(5))) == 9
 
 
 def test_oracle_examples():

@@ -2,6 +2,7 @@ import gc
 import pickle
 import time
 import tracemalloc
+from bisect import bisect_right
 from itertools import permutations
 
 import pytest
@@ -40,6 +41,12 @@ from tokensched.generators import (
 )
 
 P11 = NetworkParams(1, 1)
+
+
+def state_after(trace, r):
+    """The state after round r in simulate's trace: that of its last change
+    at or before r."""
+    return trace[bisect_right([t for t, _ in trace], r) - 1][1]
 
 
 def test_graph_rejects_bad_edges():
@@ -302,9 +309,9 @@ def test_two_node_send_then_compute():
     s = Schedule(2, (Action(1, 1, SEND, 0), Action(2, 0, COMPUTE)))
     report = validate_schedule(g, P11, s)
     assert report.valid and report.final_token_count == 1
-    trace = simulate(g, P11, s)
-    assert trace[-1].tokens_at(0) == (frozenset({0, 1}),)
-    assert trace[-1].tokens_at(1) == ()
+    final = simulate(g, P11, s)[-1][1]
+    assert final.tokens_at(0) == (frozenset({0, 1}),)
+    assert final.tokens_at(1) == ()
 
 
 def test_two_node_exhaustive_length2_optimum():
@@ -431,6 +438,14 @@ def test_cost_follows_actions_not_declared_length():
     final, events = replay_events(complete_graph(2), P11, ok)
     assert final.counts() == (1, 0)
     assert [e[:2] for e in events] == [("deliver", 2), ("merge", huge + 1)]
+    # 10**7 for simulate, not 10**12: a trace of one state per declared round
+    # fails this check at about 150 MB, where 10**12 would ask for terabytes.
+    long = 10**7
+    trace = simulate(complete_graph(2), P11,
+                     Schedule(long, (Action(1, 1, SEND, 0), Action(long, 0, COMPUTE))))
+    assert [(r, state.counts()) for r, state in trace] == [
+        (0, (1, 1)), (1, (2, 0)), (long, (1, 0))
+    ]
     assert time.perf_counter() - started < 1.0
 
 
@@ -452,11 +467,11 @@ def test_path3_simulation_and_boundaries():
         Action(3, 1, COMPUTE),
     ))
     trace = simulate(g, P11, s)
-    assert len(trace) == 4
-    assert trace[0] == initial_state(g)
+    assert [r for r, _ in trace] == [0, 1, 2, 3]  # every round changes the holdings
+    assert trace[0][1] == initial_state(g)
     # Boundary after round 1 already shows the deliveries landing at round 2.
-    assert trace[1].counts() == (0, 3, 0)
-    assert trace[3].tokens_at(1) == (frozenset({0, 1, 2}),)
+    assert trace[1][1].counts() == (0, 3, 0)
+    assert trace[3][1].tokens_at(1) == (frozenset({0, 1, 2}),)
     assert validate_schedule(g, P11, s).valid
 
 
@@ -478,11 +493,12 @@ def test_in_flight_token_counts_at_sender():
     p = NetworkParams(1, 3)
     s = Schedule(4, (Action(1, 1, SEND, 0), Action(4, 0, COMPUTE)))
     trace = simulate(g, p, s)
+    assert [r for r, _ in trace] == [0, 3, 4]
     # During rounds 1..3 the token is in flight and still listed at node 1.
-    assert trace[1].counts() == (1, 1)
-    assert trace[2].counts() == (1, 1)
+    assert state_after(trace, 1).counts() == (1, 1)
+    assert state_after(trace, 2).counts() == (1, 1)
     # Boundary after round 3 shows the delivery at the start of round 4.
-    assert trace[3].counts() == (2, 0)
+    assert state_after(trace, 3).counts() == (2, 0)
     assert validate_schedule(g, p, s).valid
 
 
@@ -498,7 +514,8 @@ def test_token_conservation_against_completed_merges():
         Action(6, 0, COMPUTE),
     ))
     trace = simulate(g, p, s)
-    for r, state in enumerate(trace):
+    for r in range(s.length + 1):
+        state = state_after(trace, r)
         merged = sum(
             1 for a in s.actions
             if a.kind == COMPUTE and a.start_round + p.t_c <= r + 1
@@ -546,8 +563,7 @@ def test_validator_simulator_agreement_fuzz():
     for g, p, s in cases:
         report = validate_schedule(g, p, s)
         try:
-            trace = simulate(g, p, s)
-            sim_valid = trace[-1].total_tokens() == 1
+            sim_valid = simulate(g, p, s)[-1][1].total_tokens() == 1
         except InvalidScheduleError:
             sim_valid = False
         assert report.valid == sim_valid
