@@ -4,7 +4,7 @@ Shows the stages one at a time on a random connected graph: the congestion
 flow over the time-expanded graph (certified optimal, or solved as an LP),
 random-walk path sampling, path direction,
 and a route-and-compute round; then runs the full solver, which times all
-its fragments' actions at once with the greedy engine of core.left_shift,
+its fragments' actions at once with the greedy timing engine core._asap,
 and prints its per-iteration report and the rounds that timing saved over
 the fragments laid end to end.
 """
@@ -61,7 +61,7 @@ print("== The full solver ==")
 rows = []
 sched = solve_tc(g, p, seed=7, report=rows)
 assembled = sum(r.fragment_rounds for r in rows)
-print(f"  length {sched.length} ({assembled} concatenated, timed as core.left_shift does), "
+print(f"  length {sched.length} ({assembled} concatenated, timed by core._asap), "
       f"valid={validate_schedule(g, p, sched).valid}")
 print("  sends name no token: each moves its node's oldest one")
 print(f"  lower bound {lower_bounds(g, p)[2]}, naive upper bound {trivial_upper_bound(g, p)}")

@@ -22,7 +22,6 @@ from .core import (
     Schedule,
     TokenState,
     ValidationReport,
-    left_shift,
     lower_bounds,
     simulate,
     trivial_upper_bound,
@@ -56,7 +55,6 @@ __all__ = [
     "ds_from_schedule",
     "extract_opt_paths",
     "greedy_schedule",
-    "left_shift",
     "lower_bounds",
     "mds_apx",
     "n_star_table",

@@ -32,10 +32,10 @@ The last few holders are aggregated greedily on a shortest-path tree.
 
 The routers and the endgame only give each node's order of actions.  The
 loop keeps one token count per node, appends every fragment's actions to
-per-node queues, and times them all with one core._asap call, as
-core.left_shift would time the fragments concatenated end to end.  So
-solve_tc's SENDs are unnamed and its schedule is never longer than its
-fragments laid end to end; it is validated before it is returned.
+per-node queues, and times them all with one core._asap call.  The
+fragments laid end to end are a valid schedule with the same orders, so by
+_asap's retiming argument solve_tc's schedule, with unnamed SENDs, is
+never longer; it is validated before it is returned.
 
 All randomness flows from one 64-bit seed through named spawn keys, so runs
 are reproducible action-for-action.
@@ -594,14 +594,13 @@ def opt_route(p: NetworkParams, dp: DirectedPathSet) -> Schedule:
     return Schedule(step * p.t_m, tuple(actions))
 
 
-def route_paths_m(g: Graph, p: NetworkParams, dp: DirectedPathSet) -> Schedule:
+def route_paths_m(p: NetworkParams, dp: DirectedPathSet) -> Schedule:
     """Route all source tokens to their sinks, then merge once at every sink.
 
     The merge-last strategy for t_c > t_m: sinks stay idle until routing has
     finished, then each sink folds its arrived token into its own, cutting
     the token count by exactly the number of paths.  The length is at most
-    t_m * con * dil + t_c, by opt_route's bound.  g goes unread: it keeps
-    the call shape of route_paths_c, as solve_tc calls either router alike.
+    t_m * con * dil + t_c, by opt_route's bound.
     """
     routed = opt_route(p, dp)
     compute_round = routed.length + 1
@@ -707,13 +706,13 @@ def solve_tc(g: Graph, p: NetworkParams, seed: int, report: list | None = None) 
     FALLBACK_W holders remain or an iteration yields no usable paths.
 
     Each fragment's actions join per-node queues in its order, and one
-    core._asap call times them all, as core.left_shift would time the
-    fragments concatenated end to end: every action starts at the first
-    round at which its node is free and holds its tokens.  That timing
-    never lengthens what it is given, so the length, the last occupied
-    round, is at most the sum of the report rows' fragment_rounds, each
-    within its router's bound (opt_route's con * dil steps, not the
-    paper's random-delay bound).
+    core._asap call times them all: every action starts at the first
+    round at which its node is free and holds its tokens.  The fragments
+    concatenated end to end are a valid schedule with the same per-node
+    orders, and by _asap's docstring that timing never lengthens a valid
+    schedule, so the length, the last occupied round, is at most the sum
+    of the report rows' fragment_rounds, each within its router's bound
+    (opt_route's con * dil steps, not the paper's random-delay bound).
 
     Raises DisconnectedGraphError on a disconnected graph, and
     IterationCapError after 24 * ceil(log2 n) + 8 iterations (which
@@ -762,7 +761,7 @@ def solve_tc(g: Graph, p: NetworkParams, seed: int, report: list | None = None) 
             append(frag, (iteration, len(holders), L, flow.z, 0, 0, len(holders) - 1), "fallback")
             continue
         if p.t_c > p.t_m:
-            frag = route_paths_m(g, p, dp)
+            frag = route_paths_m(p, dp)
             router = "m"
         else:
             frag = route_paths_c(g, p, dp, counts)

@@ -27,6 +27,7 @@ from .core import (
     simulate,
     validate_schedule,
 )
+from . import files
 from .domset import mds_apx, psi_transform
 from .files import format_graph, format_schedule, read_graph, read_schedule
 from .generators import (
@@ -86,6 +87,9 @@ def _graph_facts(g: Graph, p: NetworkParams) -> tuple:
 def _cmd_complete(args) -> int:
     started = time.perf_counter()
     p = _params(args)
+    if args.n > files.MAX_NODES:  # the limit parse_graph puts on a K_n file
+        print(f"error: n={args.n} exceeds the limit of {files.MAX_NODES} nodes", file=sys.stderr)
+        return 2
     sched = opt_complete(args.n, p)
     _emit(format_schedule(sched), args.out)
     _report(args, lambda: _graph_facts(complete_graph(args.n), p), p, sched.length, "-", started)
@@ -346,7 +350,7 @@ def cli_dispatch(argv=None) -> int:
     try:
         return args.func(args)
     except (MalformedInputError, DisconnectedGraphError, SearchInfeasibleError,
-            NoScheduleWithinLimitError, FileNotFoundError, ValueError) as e:
+            NoScheduleWithinLimitError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except InvalidScheduleError as e:

@@ -273,9 +273,9 @@ class Action(namedtuple("Action", "start_round node kind target token",
     fields.  The one trusted constructor, `tuple.__new__(Action, fields)`,
     skips those checks; only bulk builders that have checked the fields
     themselves use it: `files.parse_schedule`, and `core._asap`, whose
-    callers (`left_shift`, the tree and gadget schedulers, and
-    `approx.solve_tc`) queue only SEND with a target and COMPUTE.  Like any
-    tuple, an Action equals the plain tuple of its fields.
+    callers (the tree and gadget schedulers, and `approx.solve_tc`) queue
+    only SEND with a target and COMPUTE.  Like any tuple, an Action equals
+    the plain tuple of its fields.
     """
 
     __slots__ = ()
@@ -604,8 +604,15 @@ def _asap(p: NetworkParams, queues: list, held: list) -> tuple:
     the trusted Action constructor; held[v] is v's starting token count.
     Each action starts at the first round at which its node is free and
     holds a token for a SEND, two for a COMPUTE; tokens landing at a round
-    count before that round's starts.  Its callers (left_shift, the tree and
-    gadget schedulers, approx.solve_tc) only build the queues.
+    count before that round's starts.  Its callers (the tree and gadget
+    schedulers, approx.solve_tc) only build the queues.
+
+    Timing the per-node orders of a valid schedule, from its starting token
+    counts, gives a valid schedule that is no longer, with unnamed SENDs (an
+    unnamed SEND moves the oldest token).  A node's k-th action waits only
+    on its own earlier actions and on arrivals, and by induction every
+    arrival comes no later than in the schedule timed, so every action
+    starts no later than there.
 
     Rounds are visited in buckets: one list of landings and one of starts
     per round, and a heap of the distinct rounds only, so the cost is
@@ -654,27 +661,6 @@ def _asap(p: NetworkParams, queues: list, held: list) -> tuple:
         if nxt[v] < len(q):
             raise ValueError(f"node {v} never holds the tokens for its next {q[nxt[v]][0]}")
     return actions, r - 1
-
-
-def left_shift(g: Graph, p: NetworkParams, s: Schedule,
-               start: TokenState | None = None) -> Schedule:
-    """s with every action started as early as token counts allow (_asap).
-
-    Each node keeps its actions in their order, and SENDs lose their token
-    names (an unnamed SEND moves the oldest token).  The declared length
-    becomes the last occupied round.
-
-    Validity then rests on counts alone.  A node's k-th action waits only on
-    its own earlier actions and on arrivals, and by induction every arrival
-    comes no later than in s.  So when s is valid from `start` up to token
-    names, the result is valid and no longer.  Raises ValueError when an
-    action can never start.
-    """
-    queues = [[] for _ in range(g.n)]
-    for _, v, kind, target, _ in s.actions:  # canonical order: by start round
-        queues[v].append((kind, target))
-    actions, last = _asap(p, queues, [1] * g.n if start is None else start.counts())
-    return Schedule(last, actions)
 
 
 def ceil_log2(n: int) -> int:

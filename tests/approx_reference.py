@@ -181,7 +181,7 @@ def opt_route(g: Graph, p: NetworkParams, dp: DirectedPathSet, seed: int) -> Sch
     8 * (con + dil) * ceil(log2(n + 2)) steps the delays are redrawn, up to
     ROUTE_ATTEMPTS times, keeping the best run.  Each SEND names its packet
     by the path's source, as when every source starts with its own
-    singleton; solve_tc's left shift drops the names.
+    singleton; solve_tc's timing by core._asap drops the names.
     """
     dp.check_endpoints()
     con, dil = dp.con, dp.dil

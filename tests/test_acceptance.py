@@ -261,7 +261,7 @@ def test_criterion_10_route_and_compute_contracts():
     p_c = NetworkParams(1, 2)
     for i in range(100):
         g, dp, state = _path_set_instance(rng, seed=7000 + i)
-        frag_m = route_paths_m(g, p_m, dp)
+        frag_m = route_paths_m(p_m, dp)
         assert frag_m.length <= p_m.t_m * dp.con * dp.dil + p_m.t_c, i  # FIFO's bound
         end_m = simulate(g, p_m, frag_m, start=state)[-1][1]
         assert state.total_tokens() - end_m.total_tokens() == len(dp), i

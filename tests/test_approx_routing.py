@@ -90,7 +90,7 @@ def test_route_m_single_path():
     dp = DirectedPathSet(((0, 1),))
     for tc, tm in [(3, 1), (2, 1)]:
         p = NetworkParams(tc, tm)
-        frag = route_paths_m(g, p, dp)
+        frag = route_paths_m(p, dp)
         assert frag.length == tm + tc
         state = simulate(g, p, frag, start=synthetic_state(g, dp))[-1][1]
         assert state.total_tokens() == 1
@@ -104,7 +104,7 @@ def test_route_m_reduces_by_exactly_u():
         if dp is None:
             continue
         state0 = synthetic_state(g, dp)
-        frag = route_paths_m(g, p, dp)
+        frag = route_paths_m(p, dp)
         state = simulate(g, p, frag, start=state0)[-1][1]
         assert state0.total_tokens() - state.total_tokens() == len(dp)
 

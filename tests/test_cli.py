@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from tokensched import cli
+from tokensched import cli, files
 from tokensched.cli import cli_dispatch
 from tokensched.core import NetworkParams, lower_bounds, validate_schedule
 from tokensched.complete import r_star
@@ -102,6 +102,30 @@ def test_validate_exit_codes(tmp_path):
                    "--tc", "1", "--tm", "1", "--quiet") == 2
 
 
+def test_unopenable_paths_exit_2(tmp_path, capsys):
+    # A directory cannot be read as a graph or written as an output file; an
+    # exit code of 1 would read as "invalid schedule".
+    sched = tmp_path / "k2.sched"
+    assert run_cli("complete", "--n", "2", "--tc", "1", "--tm", "1",
+                   "--out", str(sched), "--quiet") == 0
+    for argv in (("validate", "--graph", str(tmp_path), "--schedule", str(sched),
+                  "--tc", "1", "--tm", "1", "--quiet"),
+                 ("gen", "--kind", "path", "--n", "3", "--out", str(tmp_path))):
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
+def test_complete_refuses_n_over_the_graph_file_limit(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(files, "MAX_NODES", 50)
+    out = tmp_path / "k.sched"
+    costs = ("--tc", "1", "--tm", "1", "--quiet")
+    assert run_cli("complete", "--n", "51", *costs, "--out", str(out)) == 2
+    assert "exceeds the limit of 50" in capsys.readouterr().err
+    assert not out.exists()
+    assert run_cli("complete", "--n", "50", *costs, "--out", str(out)) == 0
+    assert read_schedule(out).length == r_star(50, NetworkParams(1, 1))
+
+
 def test_validate_writes_its_verdict_to_out(tmp_path, capsys):
     graph = tmp_path / "p3.txt"
     assert run_cli("gen", "--kind", "path", "--n", "3", "--out", str(graph)) == 0
@@ -191,7 +215,7 @@ def test_approx_cli_with_report(tmp_path):
     flows = [line.rsplit(",", 1)[1] for line in lines[2:]]
     assert flows[0] == "certified" and set(flows) <= {"certified", "lp", "-"}
     # The comment line gives the rounds of the concatenated fragments and
-    # the length after the left shift: their difference is what it saved.
+    # the length after core._asap's timing: their difference is what it saved.
     fields = dict(f.split("=", 1) for f in lines[0][2:].split())
     assembled = sum(int(line.split(",")[7]) for line in lines[2:])
     assert int(fields["assembled"]) == assembled

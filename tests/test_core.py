@@ -23,7 +23,6 @@ from tokensched.core import (
     _asap,
     _nogc,
     initial_state,
-    left_shift,
     lower_bounds,
     replay_events,
     simulate,
@@ -641,32 +640,27 @@ def test_asap_holds_a_start_back_until_the_nodes_own_send_ends():
     ], 4)
 
 
-def test_left_shift_cost_does_not_grow_with_the_rounds():
+def test_asap_cost_does_not_grow_with_the_rounds():
     p = NetworkParams(10**9, 10**9)
-    s = Schedule(10**12, (Action(10**11, 0, SEND, 1), Action(5 * 10**11, 1, COMPUTE)))
     t0 = time.perf_counter()
-    shifted = left_shift(complete_graph(2), p, s)
+    timed = _asap(p, [[(SEND, 1)], [M]], [1, 1])
     assert time.perf_counter() - t0 < 0.1
-    assert shifted == Schedule(2 * 10**9, (Action(1, 0, SEND, 1), Action(10**9 + 1, 1, COMPUTE)))
+    assert timed == ([Action(1, 0, SEND, 1), Action(10**9 + 1, 1, COMPUTE)], 2 * 10**9)
 
 
-def test_left_shift_starts_each_action_once_its_tokens_are_in():
-    # Node 2's send and node 1's merges idle in the input; each moves to the
-    # first round its node is free with the tokens it needs, and the named
-    # send loses its name.
-    g = path_graph(3)
-    s = Schedule(10, (Action(1, 0, SEND, 1), Action(5, 1, COMPUTE),
-                      Action(8, 2, SEND, 1, token=2), Action(9, 1, COMPUTE)))
-    assert validate_schedule(g, P11, s).valid
-    assert left_shift(g, P11, s) == Schedule(3, (
+def test_asap_starts_each_action_once_its_tokens_are_in():
+    # On the path 0 - 1 - 2, node 1 merges the tokens that nodes 0 and 2
+    # send it; each action starts at the first round its node is free with
+    # the tokens it needs.
+    queues = [[(SEND, 1)], [M, M], [(SEND, 1)]]
+    assert _asap(P11, queues, [1, 1, 1]) == ([
         Action(1, 0, SEND, 1), Action(1, 2, SEND, 1),
         Action(2, 1, COMPUTE), Action(3, 1, COMPUTE),
-    ))
+    ], 3)
     p = NetworkParams(2, 1)  # the second merge waits for the first
-    assert left_shift(g, p, s).actions[-1] == Action(4, 1, COMPUTE)
+    assert _asap(p, queues, [1, 1, 1])[0][-1] == Action(4, 1, COMPUTE)
 
 
-def test_left_shift_refuses_an_action_that_never_gets_its_tokens():
-    g = path_graph(2)
+def test_asap_refuses_an_action_that_never_gets_its_tokens():
     with pytest.raises(ValueError, match="node 0"):
-        left_shift(g, P11, Schedule(1, (Action(1, 0, COMPUTE),)))
+        _asap(P11, [[M], []], [1, 1])

@@ -11,8 +11,10 @@ needs, as found without it, and is exact for lone tokens on K_N with empty
 nodes.  `_automorphisms` lists one map per coset of the twin permutations,
 as many as networkx's count implies.  Greedy aggregation on a labelled tree
 from any valid starting holdings ends with one token at the root.  The left
-shift keeps every scheduler's output valid and no longer: it leaves
-opt_complete and solve_tc as they are and brute_opt's optimum at its length.
+shift, a schedule's per-node orders timed by core._asap, keeps every
+scheduler's output valid and no longer: opt_complete's, solve_tc's, the
+endgame's from any placement and the gadget's are its fixpoints, and
+brute_opt's optimum keeps its length.
 Distances and domination agree with networkx, with the diameter found
 before or after the radius, from at most one search per node.
 """
@@ -45,8 +47,8 @@ from tokensched.core import (
     NetworkParams,
     Schedule,
     TokenState,
+    _asap,
     initial_state,
-    left_shift,
     lower_bounds,
     replay_events,
     simulate,
@@ -76,8 +78,9 @@ def costs(draw) -> NetworkParams:
 
 @st.composite
 def sourced_instances(draw):
-    """(source, graph, params, schedule) from greedy, brute_opt or solve_tc on
-    a small connected graph."""
+    """(source, graph, params, schedule, rows) from greedy, brute_opt or
+    solve_tc on a small connected graph, with solve_tc's report rows (None
+    for the others)."""
     source = draw(st.sampled_from(("greedy", "brute_opt", "solve_tc")))
     n = draw(st.integers(1, BRUTE_MAX_NODES if source == "brute_opt" else 7))
     p = costs(draw)
@@ -86,18 +89,20 @@ def sourced_instances(draw):
         # opt_complete sends only along its aggregation tree's edges.
         spanning = prune_tree(build_tree(r_star(n, p), p), n).edges()
     g = connected_graph(draw, n, spanning)
+    rows = None
     if source == "greedy":
         s = opt_complete(n, p)
     elif source == "brute_opt":
         s = brute_opt(g, p, force=True).schedule
     else:
-        s = solve_tc(g, p, seed=draw(st.integers(0, 3)))
-    return source, g, p, s
+        rows = []
+        s = solve_tc(g, p, seed=draw(st.integers(0, 3)), report=rows)
+    return source, g, p, s, rows
 
 
 def instances():
     """(graph, params, schedule) from sourced_instances."""
-    return sourced_instances().map(lambda inst: inst[1:])
+    return sourced_instances().map(lambda inst: inst[1:4])
 
 
 def mutations(s: Schedule):
@@ -232,12 +237,23 @@ def assert_checked(actions):
         assert type(a) is Action and Action(*a) == a
 
 
+def left_shift(g: Graph, p: NetworkParams, s: Schedule, held=None) -> Schedule:
+    """s's per-node action orders timed by core._asap from held[v] tokens at
+    each node v (one each by default): s's left shift."""
+    queues = [[] for _ in range(g.n)]
+    for _, v, kind, target, _ in s.actions:  # canonical order: by start round
+        queues[v].append((kind, target))
+    return Schedule(*reversed(_asap(p, queues, held or [1] * g.n)))
+
+
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(sourced_instances())
 def test_left_shift_keeps_scheduler_outputs(inst):
-    """left_shift leaves opt_complete's schedules as they are, and solve_tc's,
-    which end with it; an optimum from brute_opt keeps its length."""
-    source, g, p, s = inst
+    """The left shift gives back opt_complete's schedules and solve_tc's,
+    which _asap times, unchanged: they are its fixpoints.  An optimum from
+    brute_opt keeps its length.  solve_tc's length is at most its
+    fragments' rounds laid end to end."""
+    source, g, p, s, rows = inst
     shifted = left_shift(g, p, s)
     assert validate_schedule(g, p, shifted).valid
     # opt_complete's actions come from greedy_schedule; those of the shift
@@ -248,6 +264,8 @@ def test_left_shift_keeps_scheduler_outputs(inst):
         assert shifted.length == s.length
     else:
         assert shifted == s
+    if source == "solve_tc":
+        assert s.length <= sum(r.fragment_rounds for r in rows)
 
 
 @st.composite
@@ -264,17 +282,15 @@ def placements(draw):
 @settings(max_examples=100, deadline=None)
 @given(placements(), st.integers(1, 3), st.integers(1, 3))
 def test_left_shift_of_the_endgame_from_any_placement(placement, tc, tm):
-    """The tree endgame stays valid from its starting placement under the
-    shift, and gets no longer."""
+    """The tree endgame, valid from its starting placement, is a fixpoint of
+    the shift from that placement."""
     g, counts = placement
     p = NetworkParams(tc, tm)
     ids = iter(range(sum(counts)))
     start = TokenState(tuple(tuple(frozenset([next(ids)]) for _ in range(k)) for k in counts))
     s = _fallback_pairing(g, p, counts)
     assert validate_schedule(g, p, s, start=start).valid
-    shifted = left_shift(g, p, s, start=start)
-    assert validate_schedule(g, p, shifted, start=start).valid
-    assert shifted.length <= s.length
+    assert left_shift(g, p, s, counts) == s
 
 
 @st.composite
@@ -477,8 +493,8 @@ def test_distances_and_domination_match_networkx(inst):
 @settings(max_examples=50, deadline=None)
 @given(small_graphs(), st.integers(1, 3), st.data())
 def test_left_shift_of_gadget_schedules(g, t_m, data):
-    """The gadget schedule from any dominating set stays valid under the
-    shift and gets no longer."""
+    """The gadget schedule from any dominating set is a fixpoint of the
+    shift."""
     extra = data.draw(st.sets(st.integers(0, g.n - 1)))
     ds = make_dominating_set(g, min_dominating_set(g).members | extra)
     gadget = psi_transform(g, t_m)
@@ -487,4 +503,4 @@ def test_left_shift_of_gadget_schedules(g, t_m, data):
     assert validate_schedule(gadget.graph, gadget.params, shifted).valid
     assert_checked(s.actions)
     assert_checked(shifted.actions)
-    assert shifted.length <= s.length
+    assert shifted == s

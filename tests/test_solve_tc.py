@@ -95,7 +95,7 @@ def test_report_rows_are_complete():
 def test_bench_shapes_are_pinned():
     # The benchmark's approx shapes at its two cost pairs, all at seed 1.
     # Any change to the flow, the sampling, the routers, the endgame or the
-    # left shift shows here.
+    # _asap timing shows here.
     shapes = (("gnp100", gnp_connected(100, 0.06, 2)), ("grid8x8", grid_graph(8, 8)),
               ("cycle60", cycle_graph(60)), ("star30", star_graph(30)))
     h = hashlib.sha256()
