@@ -1,7 +1,8 @@
 """Walkthrough: the approximation pipeline on an arbitrary graph.
 
 Shows the stages one at a time on a random connected graph: the congestion
-flow over the time-expanded graph (certified optimal, or solved as an LP),
+flow over the time-expanded graph (certified optimal from a max-flow at the
+per-vertex congestion bounds, as also on a star, or solved as an LP),
 random-walk path sampling, path direction,
 and a route-and-compute round; then runs the full solver, which times all
 its fragments' actions at once with the greedy timing engine core._asap,
@@ -23,7 +24,7 @@ from tokensched.approx import (
     sample_paths,
 )
 from tokensched.core import initial_state, simulate
-from tokensched.generators import gnp_connected
+from tokensched.generators import gnp_connected, star_graph
 
 g = gnp_connected(18, 0.25, seed=42)
 p = NetworkParams(t_c=1, t_m=2)
@@ -35,6 +36,10 @@ W = list(range(g.n))
 L, flow = choose_L(g, W, p)
 source = "certified optimal without an LP" if flow.method == "certified" else "solved as an LP"
 print(f"  chosen step count L={L}, vertex congestion z={flow.z:.3f} ({source})")
+star = star_graph(12)
+L_star, star_flow = choose_L(star, list(range(star.n)), p)
+print(f"  on a 12-node star whose hub and leaves all hold tokens: z={star_flow.z:.0f}, "
+      f"the hub's bound, with L={L_star} ({star_flow.method})")
 
 print()
 print("== Stage 2: sample one walk per token holder ==")

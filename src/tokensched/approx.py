@@ -6,22 +6,21 @@ token holder), sample one random walk per holder from its flow, direct the
 sampled paths into source/sink pairs with distinct endpoints, and route the
 source tokens to the sinks where they are merged.
 
-The flow's congestion z is never below 2: the |W| units end at the |W|
-holders, none at its own source, so some holder absorbs a unit on top of its
-own token.  So the flow is first built combinatorially, one path per holder
-from a max-flow (_certified_flow); if that reaches z = 2 within D = diameter
-steps it is an LP optimum, and no LP is solved.  Otherwise (an odd holder
-count, a holder left unrouted, a path over D hops) the LP is built and
-solved with HiGHS, as on star-like graphs where holders block each other,
-at L = D, 2D, 4D, ... in turn.  Each vertex c bounds z at every L from
-below: every component of G - c holding a lone holder sends that holder's
-unit into c, which also keeps its own token if it holds one.  A bound above
-2 rules the certificate out, so no max-flow is run for it.  The scan stops
-once t_m * L plus min(t_c, t_m) times that bound reaches the best objective
-found, since no later L could then win.  Both the bound and the certificate
-read one depth-first search and one CSR adjacency that each graph builds
-once (core.Graph._dfs), not per round: the capacity matrix is written in CSR
-form from them, and the flow is read off the max-flow result's own arrays.
+Each vertex c bounds the flow's congestion z from below, at every step
+count L: every component of G - c holding a lone holder sends that holder's
+unit into c, which also keeps its own token if it holds one; and z >= 2,
+since the |W| units end at the |W| holders, none at its own source.  So the
+flow is first built combinatorially, one path per holder from a max-flow on
+the node-split graph: at a bound of 2 by pairing holders off
+(_certified_flow), above it at each vertex's own count (_forced_flow, as on
+a star, where every leaf's unit must enter the hub).  If its paths fit in
+D = diameter steps it is an LP optimum, and no LP is solved; D itself is
+computed only when a path is longer than the eccentricity of vertex 0.
+Otherwise the LP is built and solved with HiGHS at L = D, 2D, 4D, ... in
+turn, until t_m * L plus min(t_c, t_m) times the bound reaches the best
+objective found, since no later L could then win.
+Both the bounds and the certificates read one depth-first search and one
+CSR adjacency that each graph builds once (core.Graph._dfs), not per round.
 
 Routing delays merges when computation dominates (t_c > t_m) and merges
 eagerly en route otherwise.  Both routers run in lock step, one send per
@@ -101,7 +100,7 @@ class FlowSolution:
     steps: int
     z: float
     flows: dict  # w -> {(step, u, v): value}
-    method: str = "lp"  # "certified" when _certified_flow built it
+    method: str = "lp"  # "certified" when _certified_flow or _forced_flow built it
 
     def outflow(self, w: int, u: int, step: int) -> list:
         """Positive-flow arcs leaving u at a step, sorted by head id."""
@@ -244,59 +243,39 @@ def xi_bound(g: Graph, p: NetworkParams) -> int:
     return math.ceil(2 * trivial_upper_bound(g, p) / p.t_m)
 
 
-def _certified_flow(g: Graph, W, L: int) -> FlowSolution | None:
-    """An integral flow of build_flow_lp(g, W, L) with z = 2, or None.
+def _split_paths(g: Graph, wset: set, sources, units: int, cap, z: int) -> list | None:
+    """Paths of a max-flow on the node-split graph, or None when it leaves a
+    source unit unrouted or its decomposition brings one back to its source.
 
-    Holders alternate between halves A and B along the depth-first preorder
-    from vertex 0.  A max-flow on the node-split graph sends 2 units out of
-    every A holder into B holders (2 each), through non-holders of capacity
-    2, never through a holder.  Its 2|A| paths (loops excised) make every
-    holder of degree 2 in the bipartite A-B multigraph, a union of even
-    cycles; walking each cycle, every holder sends on one path and absorbs
-    the next.  So each holder absorbs exactly one unit, never its own, and
-    every non-holder carries at most two: with every path at most L hops,
-    that is a feasible LP point at z = 2.  None when |W| is odd, some holder
-    stays unrouted or some path is longer than L.
-
-    The preorder and the CSR adjacency are the graph's, built once
-    (Graph._dfs); each call writes the capacity matrix straight in CSR form
-    from them and reads the edge flows off the max-flow's own arrays.
+    Vertex v is entered at 2v and left at 2v + 1.  s sends `units` to each
+    source's out-copy; v's in-copy leads, with capacity cap[v] (0: no arc),
+    to t if v is a holder of wset, else to v's out-copy; every edge arc has
+    capacity z.  So no path passes a holder.  The matrix is written straight
+    in canonical CSR form, on which maximum_flow's result depends, from the
+    graph's CSR adjacency (Graph._dfs).  Each source's units are walked in
+    turn, the lowest-id way on at each step, up to a holder; loops excised.
     """
-    W = tuple(sorted(set(W)))
-    if len(W) < 2 or len(W) % 2:
-        return None
-    preorder, _, _, indptr, nbrs = g._dfs
-    wset = set(W)
-    order = [v for v in preorder if v in wset]
-    a_side = order[0::2]
-    # Vertex v is entered at 2v and left at 2v + 1; every arc has capacity
-    # 2.  An A holder is entered only from s, and a B holder is left only
-    # for t, so no path passes a holder.  Rows in order and columns ascending,
-    # the canonical CSR form, on which maximum_flow's result depends: row 2v
-    # holds v -> t for a B holder, nothing for an A holder, else 2v -> 2v + 1;
-    # row 2v + 1 the arcs to 2u for v's neighbours u; row s the A holders.
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import maximum_flow
 
-    n = g.n
-    s, t = 2 * n, 2 * n + 1
-    not_a = np.ones(n, dtype=bool)  # row 2v holds one arc
-    not_a[a_side] = False
-    head = 2 * np.arange(n) + 1  # of that arc: t for a holder, as A holders drop out
-    head[list(W)] = t
+    _, _, _, indptr, nbrs = g._dfs
+    s, t = 2 * g.n, 2 * g.n + 1
+    own = cap > 0  # row 2v holds v's own arc
+    head = 2 * np.arange(g.n) + 1  # of that arc: t for a holder
+    head[list(wset)] = t
     counts = np.zeros(t + 1, dtype=np.int64)
-    counts[0:s:2] = not_a
+    counts[0:s:2] = own
     counts[1:s:2] = np.diff(indptr)
-    counts[s] = len(a_side)
+    counts[s] = len(sources)
     row_ptr = np.zeros(t + 2, dtype=np.int32)
     np.cumsum(counts, out=row_ptr[1:])
-    cols = np.insert(2 * nbrs, indptr[:-1][not_a], head[not_a])
-    cols = np.concatenate([cols, 2 * np.sort(a_side) + 1]).astype(np.int32)
-    cap = csr_matrix(
-        (np.full(len(cols), 2, dtype=np.int32), cols, row_ptr), shape=(t + 1, t + 1)
-    )
-    res = maximum_flow(cap, s, t)
-    if res.flow_value < len(W):
+    at = indptr[:-1][own]
+    cols = np.concatenate([np.insert(2 * nbrs, at, head[own]), 2 * np.sort(sources) + 1])
+    data = np.insert(np.full(len(nbrs), z), at, cap[own])
+    data = np.concatenate([data, np.full(len(sources), units)])
+    net = csr_matrix((data.astype(np.int32), cols.astype(np.int32), row_ptr), shape=(t + 1, t + 1))
+    res = maximum_flow(net, s, t)
+    if res.flow_value < units * len(sources):
         return None
     # The edge arcs are the positive entries in odd rows below 2n and even
     # columns below 2n.  The split network has no antiparallel arcs, so the
@@ -305,16 +284,14 @@ def _certified_flow(g: Graph, W, L: int) -> FlowSolution | None:
     flow = res.flow
     ptr = flow.indptr[: s + 1]
     rows = np.repeat(np.arange(s), np.diff(ptr))
-    heads, units = flow.indices[: ptr[-1]], flow.data[: ptr[-1]]
-    on = (units > 0) & (rows % 2 == 1) & (heads % 2 == 0) & (heads < s)
-
-    # Decompose into paths, each the lowest-id way on from where it stands.
+    heads, amounts = flow.indices[: ptr[-1]], flow.data[: ptr[-1]]
+    on = (amounts > 0) & (rows % 2 == 1) & (heads % 2 == 0) & (heads < s)
     left = {}  # u -> {v: units on u -> v not yet in a path}
-    for u, v, f in zip((rows[on] // 2).tolist(), (heads[on] // 2).tolist(), units[on].tolist()):
+    for u, v, f in zip((rows[on] // 2).tolist(), (heads[on] // 2).tolist(), amounts[on].tolist()):
         left.setdefault(u, {})[v] = f
     paths = []
-    for a in a_side:
-        for _ in range(2):
+    for a in sources:
+        for _ in range(units):
             walk = [a]
             while len(walk) == 1 or walk[-1] not in wset:
                 nbrs_left = left[walk[-1]]
@@ -323,8 +300,36 @@ def _certified_flow(g: Graph, W, L: int) -> FlowSolution | None:
                 if not nbrs_left[v]:
                     del nbrs_left[v]
                 walk.append(v)
+            if walk[-1] == a:
+                return None
             paths.append(tuple(excise_loops(walk)))
-    if max(len(path) for path in paths) - 1 > L:
+    return paths
+
+
+def _certified_flow(g: Graph, W) -> FlowSolution | None:
+    """An integral flow of build_flow_lp(g, W, L) with z = 2 for every L >=
+    its steps (longest path), or None.
+
+    Holders alternate between halves A and B along the depth-first preorder
+    from vertex 0 (Graph._dfs).  A max-flow on the node-split graph
+    (_split_paths) sends 2 units out of every A holder into B holders (2
+    each), through non-holders of capacity 2, never through a holder.  Its
+    2|A| paths make every holder of degree 2 in the bipartite A-B
+    multigraph, a union of even cycles; walking each cycle, every holder
+    sends on one path and absorbs the next.  So each holder absorbs exactly
+    one unit, never its own, and every non-holder carries at most two: with
+    every path at most L hops, that is a feasible LP point at z = 2.  None
+    when |W| is odd or some holder stays unrouted.
+    """
+    W = tuple(sorted(set(W)))
+    if len(W) < 2 or len(W) % 2:
+        return None
+    wset = set(W)
+    a_side = [v for v in g._dfs[0] if v in wset][0::2]
+    cap = np.full(g.n, 2)
+    cap[a_side] = 0  # an A holder is entered only from s
+    paths = _split_paths(g, wset, a_side, 2, cap, 2)
+    if paths is None:
         return None
 
     ends = {w: [] for w in W}
@@ -340,13 +345,43 @@ def _certified_flow(g: Graph, W, L: int) -> FlowSolution | None:
             path = paths[i] if paths[i][0] == u else paths[i][::-1]
             flows[u] = {(r, *arc): 1.0 for r, arc in enumerate(zip(path, path[1:]))}
             u = path[-1]
-    return FlowSolution(g, W, L, 2.0, flows, method="certified")
+    return FlowSolution(g, W, max(map(len, paths)) - 1, 2.0, flows, method="certified")
 
 
-def _forced_inflow(g: Graph, W) -> int:
-    """A lower bound on the congestion z of build_flow_lp(g, W, L), whatever
-    L: max(2, max over vertices c of [c in W] + the number of components of
-    G - c holding exactly one holder).  g must be connected.
+def _forced_flow(g: Graph, W, counts: list) -> FlowSolution | None:
+    """An integral flow of build_flow_lp(g, W, L) at z = max(counts), the
+    bound on z at every L, for every L >= its steps (longest path); or None.
+
+    counts are _inflow_counts(g, W).  A max-flow on the node-split graph
+    (_split_paths) sends one unit out of every holder, never through one:
+    holder w absorbs at most counts[w] - 1 units, non-holder v carries at
+    most counts[v], and no path may return to its own holder.  It is tried
+    only when every holder of count 2 is forced by the bound into a holder
+    c of count above 2, as a star's leaves are into its hub: c's room,
+    counts[c] - 1, is one lone holder of G - c per unit, and no holder is
+    lone for two holders, so that is when the room covers them all.  Units
+    between two vertices of count 2 are the LP's free choice; on 153
+    mds_apx gadgets the max-flow's spread of them gave 11,272 rounds
+    against HiGHS's 9,836.
+    """
+    W = tuple(sorted(set(W)))
+    if sum(counts[w] == 2 for w in W) > sum(counts[w] - 1 for w in W if counts[w] > 2):
+        return None
+    cap = np.array(counts)
+    cap[list(W)] -= 1
+    paths = _split_paths(g, set(W), W, 1, cap, max(counts))
+    if paths is None:
+        return None
+    steps = max(map(len, paths)) - 1
+    flows = {path[0]: {(r, *arc): 1.0 for r, arc in enumerate(zip(path, path[1:]))}
+             for path in paths}
+    return FlowSolution(g, W, steps, float(max(counts)), flows, method="certified")
+
+
+def _inflow_counts(g: Graph, W) -> list:
+    """Per vertex c, max(2, [c in W] + the number of components of G - c
+    holding exactly one holder), each a lower bound on the congestion z of
+    build_flow_lp(g, W, L), whatever L.  g must be connected.
 
     Such a lone holder's unit must reach another holder, all of which lie
     outside its component, so it enters c (and ends there when c is a
@@ -355,7 +390,7 @@ def _forced_inflow(g: Graph, W) -> int:
     (Graph._dfs) marks the DFS children whose subtrees G - c cuts off;
     one pass in reverse preorder adds up their holder counts; what remains
     of G - c, the part through c's parent, holds the other holders.  O(n).
-    The bound is the graph's, whichever DFS tree finds it.
+    The counts are the graph's, whichever DFS tree finds them.
     """
     preorder, parent, cut, _, _ = g._dfs
     wset = set(W)
@@ -371,34 +406,31 @@ def _forced_inflow(g: Graph, W) -> int:
                 cut_off[p] += h
                 lone[p] += h == 1
     total = len(wset)
-    bound = 2
-    for c in range(g.n):
-        own = int(c in wset)
-        bound = max(bound, own + lone[c] + (total - own - cut_off[c] == 1))
-    return bound
+    own = [int(c in wset) for c in range(g.n)]
+    return [max(2, own[c] + lone[c] + (total - own[c] - cut_off[c] == 1)) for c in range(g.n)]
 
 
 def choose_L(g: Graph, W, p: NetworkParams):
     """Pick the step count minimizing t_m * L + min(t_c, t_m) * z(L) over the
     geometric grid {D, 2D, 4D, ...} up to xi, plus xi itself.
 
-    Every LP has z >= 2: the |W| units are absorbed at the |W| holders, none
-    at its own source, so some holder takes a unit on top of its resident
-    token.  An integral flow with z = 2 at L = D (_certified_flow) is thus
-    optimal there, and every later grid point already loses on t_m * L, so
-    it is returned without an LP; it is sought only when z_low, the bound
-    _forced_inflow puts on z(L) for every L, is 2.  Otherwise the LPs are
-    built and solved in grid order, and the scan stops at the first L where
-    t_m * L + min(t_c, t_m) * z_low reaches the best objective seen: from
-    there on every grid point's objective is at least the best, and only
-    one lower by more than LP_TOLERANCE would replace it, so the skipped
-    LPs change nothing.
+    z_low, the largest of _inflow_counts(g, W), bounds z(L) at every L, so
+    an integral flow at z_low within D hops is optimal at L = D, where every
+    later grid point already loses on t_m * L: it is returned with L its
+    longest path, and no LP.  It is _certified_flow's at z_low = 2, else
+    _forced_flow's.  Its paths are checked against ecc(0) <= D
+    (Graph._dist0) first, so D is computed only for a longer path or an
+    LP.  Otherwise the LPs are solved in grid order, stopping at the first
+    L where t_m * L + min(t_c, t_m) * z_low reaches the best objective seen:
+    every later objective is at least that, and only one lower by more than
+    LP_TOLERANCE would replace it, so the skipped LPs change nothing.
     """
+    counts = _inflow_counts(g, W)
+    z_low = max(counts)
+    flow = _certified_flow(g, W) if z_low == 2 else _forced_flow(g, W, counts)
+    if flow is not None and (flow.steps <= max(g._dist0) or flow.steps <= g.diameter()):
+        return flow.steps, flow
     d = max(1, g.diameter())
-    z_low = _forced_inflow(g, W)
-    flow = _certified_flow(g, W, d) if z_low == 2 else None
-    if flow is not None:
-        return d, flow
     xi = xi_bound(g, p)
     grid = []
     L = d
@@ -455,7 +487,7 @@ def sample_paths(flow: FlowSolution, L_hat: int, W, seed: int) -> tuple:
     path for every holder.
 
     A certified flow is one path per holder, which a walk follows whatever
-    it draws, with at most z = 2 paths on any vertex: the first sample keeps
+    it draws, with at most z paths on any vertex: the first sample keeps
     every path, so the paths are read off the flow with no random draws.
     """
     W = tuple(sorted(set(W)))

@@ -109,6 +109,10 @@ def _cmd_tree(args) -> int:
 
 def _cmd_stats(args) -> int:
     p = _params(args)
+    if args.nmax > files.MAX_NODES:  # one line per n, built before any is written
+        print(f"error: nmax={args.nmax} exceeds the limit of {files.MAX_NODES} nodes",
+              file=sys.stderr)
+        return 2
     lines = ["n,naive_binary,pipelined_binary,optimal,compute_lb"]
     for n in range(1, args.nmax + 1):
         naive, pipe, opt, clb = baseline_lengths(n, p)

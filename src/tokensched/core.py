@@ -76,8 +76,8 @@ class Graph:
     `max_degree`, `bfs_distances`, `is_connected`, the replay's neighbour
     check and its eccentricities without `adj`.  `radius()` and `diameter()`
     read one cached pair, found by bounding every eccentricity from a few
-    searches: whichever is called first, neither searches again.  `_dfs`
-    caches one depth-first search and the CSR adjacency the same way.
+    searches: whichever is called first, neither searches again.  `_dist0`,
+    the search from vertex 0, and `_dfs` are cached the same way.
     """
 
     @_nogc
@@ -157,8 +157,13 @@ class Graph:
             frontier = found
         return dist
 
+    @cached_property
+    def _dist0(self) -> list:
+        """is_connected's search; its largest entry is ecc(0) <= diameter."""
+        return self.bfs_distances(0)
+
     def is_connected(self) -> bool:
-        return all(d >= 0 for d in self.bfs_distances(0))
+        return min(self._dist0) >= 0
 
     @cached_property
     def _extremes(self) -> tuple:
@@ -178,7 +183,7 @@ class Graph:
         # Vertex 0 is the first least-lower-bound pick, as all bounds tie.
         radius, diameter, w, low_turn = n, 0, 0, False
         while True:
-            dist = self.bfs_distances(w)
+            dist = self.bfs_distances(w) if w else self._dist0
             if min(dist) < 0:
                 raise DisconnectedGraphError(
                     "graph is disconnected; aggregation to one token is unsolvable"

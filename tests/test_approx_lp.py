@@ -1,5 +1,8 @@
+from unittest import mock
+
 import pytest
 
+from tokensched import approx
 from tokensched.core import NetworkParams
 from tokensched.approx import (
     build_flow_lp,
@@ -97,12 +100,19 @@ def test_choose_L_on_k2():
 
 
 def test_choose_L_beats_xi_endpoint():
-    # All four holders certify; three fall back to the LP grid scan.
+    # All four holders certify at z = 2; three at the forced bound z = 3
+    # (every unit into or out of holder 1), and with both certificates out
+    # they fall back to the LP grid scan.
     g = path_graph(4)
     p = NetworkParams(2, 1)
     xi = xi_bound(g, p)
-    for W, method in (([0, 1, 2, 3], "certified"), ([0, 1, 3], "lp")):
-        L, sol = choose_L(g, W, p)
+    for W, method in (([0, 1, 2, 3], "certified"), ([0, 1, 3], "certified"), ([0, 1, 3], "lp")):
+        if method == "lp":
+            with mock.patch.multiple(approx, _certified_flow=lambda *a: None,
+                                     _forced_flow=lambda *a: None):
+                L, sol = choose_L(g, W, p)
+        else:
+            L, sol = choose_L(g, W, p)
         assert sol.method == method
         chosen = p.t_m * L + min(p.t_c, p.t_m) * sol.z
         at_xi = p.t_m * xi + min(p.t_c, p.t_m) * solve_flow_lp(build_flow_lp(g, W, xi)).z

@@ -126,6 +126,17 @@ def test_complete_refuses_n_over_the_graph_file_limit(tmp_path, monkeypatch, cap
     assert read_schedule(out).length == r_star(50, NetworkParams(1, 1))
 
 
+def test_stats_refuses_nmax_over_the_graph_file_limit(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(files, "MAX_NODES", 50)
+    out = tmp_path / "stats.csv"
+    costs = ("--tc", "1", "--tm", "1")
+    assert run_cli("stats", "--nmax", "51", *costs, "--out", str(out)) == 2
+    assert "exceeds the limit of 50" in capsys.readouterr().err
+    assert not out.exists()
+    assert run_cli("stats", "--nmax", "50", *costs, "--out", str(out)) == 0
+    assert len(out.read_text().splitlines()) == 51  # the header and one line per n
+
+
 def test_validate_writes_its_verdict_to_out(tmp_path, capsys):
     graph = tmp_path / "p3.txt"
     assert run_cli("gen", "--kind", "path", "--n", "3", "--out", str(graph)) == 0
