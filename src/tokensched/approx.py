@@ -18,7 +18,11 @@ D = diameter steps it is an LP optimum, and no LP is solved; D itself is
 computed only when a path is longer than the eccentricity of vertex 0.
 Otherwise the LP is built and solved with HiGHS at L = D, 2D, 4D, ... in
 turn, until t_m * L plus min(t_c, t_m) times the bound reaches the best
-objective found, since no later L could then win.
+objective found, since no later L could then win.  The LP is built
+column-wise in numpy, every holder's sink distances from one breadth-first
+search, and handed to HiGHS's dual simplex through scipy's bundled binding
+with scipy.optimize.linprog's options and checks, so it solves as linprog
+would.
 Both the bounds and the certificates read one depth-first search and one
 CSR adjacency that each graph builds once (core.Graph._dfs), not per round.
 
@@ -77,20 +81,42 @@ class IterationCapError(RuntimeError):
 
 @dataclass
 class FlowLP:
-    """A built (not yet solved) congestion LP over the time-expanded graph."""
+    """A built (not yet solved) congestion LP over the time-expanded graph:
+    minimise z subject to a_ub x <= b_ub, a_eq x = b_eq and x >= 0.
+
+    The stacked matrix [a_ub; a_eq] is kept column-wise (CSC), in the
+    arrays HiGHS reads: column j's row indices, ascending, and its values
+    are indices[k] and data[k] for indptr[j] <= k < indptr[j + 1].  a_ub
+    and a_eq are scipy sparse copies of its two row blocks, built on read.
+    """
 
     graph: Graph
     W: tuple
     steps: int
     cols: list  # (w, step, u, v) per flow column; column n_cols is z
-    a_eq: object
-    b_eq: object
-    a_ub: object
-    b_ub: object
+    b_ub: np.ndarray
+    b_eq: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
 
     @property
     def n_cols(self) -> int:
         return len(self.cols)
+
+    def _stacked(self):
+        from scipy.sparse import csc_array
+
+        shape = (len(self.b_ub) + len(self.b_eq), self.n_cols + 1)
+        return csc_array((self.data, self.indices, self.indptr), shape=shape)
+
+    @property
+    def a_ub(self):
+        return self._stacked()[: len(self.b_ub)]
+
+    @property
+    def a_eq(self):
+        return self._stacked()[len(self.b_ub) :]
 
 
 @dataclass
@@ -113,21 +139,40 @@ class FlowSolution:
         return out
 
 
-def _sink_distances(g: Graph, sinks, blocked) -> list:
-    """Hop distance to the nearest sink along paths whose interior avoids
-    `blocked`; -1 when unreachable."""
-    dist = [-1] * g.n
-    q = deque()
-    for s in sinks:
-        dist[s] = 0
-        q.append(s)
-    while q:
-        u = q.popleft()
+def _holder_distances(g: Graph, W) -> tuple:
+    """Per vertex v, (d1, h1, d2): the hop distance d1 from v to its nearest
+    holder h1, and d2 to its nearest holder other than h1, along paths whose
+    interior avoids the holders W; -1 where there is none.  A holder is its
+    own nearest, at 0, and has no second.
+
+    So the distance from v to the nearest holder other than w, along paths
+    whose interior avoids W, is d1[v] where h1[v] != w and d2[v] where
+    h1[v] == w: 0 at every other holder and -1 at w.  One breadth-first
+    search from all holders at once, in which each non-holder keeps the
+    first two distinct holders that reach it, gives it for every w.  A
+    second label d2 is exact: the neighbour before v on a shortest path to
+    the nearest holder other than h1[v] holds two labels no farther, or
+    that holder as its only one, and one of them is not h1[v].  O(n + m).
+    """
+    wset = set(W)
+    d1, h1, d2 = [-1] * g.n, [-1] * g.n, [-1] * g.n
+    queue = deque()
+    for w in W:
+        d1[w], h1[w] = 0, w
+        queue.append((w, w))
+    while queue:
+        u, h = queue.popleft()
+        d = (d1[u] if h1[u] == h else d2[u]) + 1
         for v in g.adj[u]:
-            if dist[v] < 0 and v not in blocked:
-                dist[v] = dist[u] + 1
-                q.append(v)
-    return dist
+            if v in wset:
+                continue
+            if d1[v] < 0:
+                d1[v], h1[v] = d, h
+                queue.append((v, h))
+            elif d2[v] < 0 and h1[v] != h:
+                d2[v] = d
+                queue.append((v, h))
+    return d1, h1, d2
 
 
 def build_flow_lp(g: Graph, W, L_hat: int) -> FlowLP:
@@ -136,105 +181,148 @@ def build_flow_lp(g: Graph, W, L_hat: int) -> FlowLP:
     vertices; z bounds every vertex's total inflow plus its resident token.
 
     Flow that could neither be reached from a source nor still make it to a
-    sink within the remaining steps is pruned away column-wise.
-    """
-    # scipy is imported on first use: it is most of the package's import
-    # time, and commands that solve no LP never need it.
-    from scipy.sparse import csr_matrix
+    sink within the remaining steps is pruned away column-wise: w's flow
+    enters a non-holder only if some holder other than w is within the
+    steps left (_holder_distances), and never re-enters w.  All holders'
+    flows advance together, one step at a time over the graph's CSR
+    adjacency (Graph._dfs).  Columns are (w, step, u, v), in that order.
 
+    Rows, as FlowLP stores them: one capacity row per vertex with inflow or
+    a resident token, ascending by vertex (inflow plus resident token <=
+    z); then one equality row per (w, step, vertex) w's flow can be at,
+    sorted, so each source row (w, 0, w) comes first.  A flow column counts
+    +1 in its head's capacity row, +1 in its source row or -1 in its tail's
+    conservation row, and +1 in its head's next-step row unless the head is
+    a holder.  z counts -1 in every capacity row.
+    """
     W = tuple(sorted(set(W)))
     if len(W) < 2:
         raise ValueError("need at least two token holders to pair off")
     if L_hat < 1:
         raise ValueError(f"need at least one step, got {L_hat}")
-    wset = set(W)
-    cols = []
-    for w in W:
-        dsink = _sink_distances(g, wset - {w}, blocked=wset | {w})
-        # Forward reachability of still-moving flow; holders absorb, the
-        # origin w is never re-entered.
-        first = len(cols)
-        alive = {w}
-        for r in range(L_hat):
-            nxt = set()
-            for u in sorted(alive):
-                for v in sorted(g.adj[u]):
-                    if v == w:
-                        continue
-                    if v not in wset:
-                        if dsink[v] < 0 or dsink[v] > L_hat - (r + 1):
-                            continue  # could never reach a sink in time
-                        nxt.add(v)
-                    cols.append((w, r, u, v))
-            alive = nxt
-            if not alive:
-                break
-        if len(cols) == first:
-            raise ValueError(
-                f"holder {w} cannot reach another holder within {L_hat} steps"
-            )
+    _, _, _, indptr, nbrs = g._dfs
+    d1, h1, d2 = map(np.array, _holder_distances(g, W))
+    holder = np.zeros(g.n, dtype=bool)
+    holder[list(W)] = True
+    # State k is a (w, step, u) where w's flow can be: numbered step by
+    # step, and within a step by (w, u).  Each step's columns leave its
+    # states in (w, u, v) order.
+    at_w = at_u = np.array(W)
+    first = 0  # the number of the step's first state
+    states, steps = [], []
+    for r in range(L_hat):
+        deg = indptr[at_u + 1] - indptr[at_u]
+        tail = np.repeat(np.arange(len(at_u)), deg)
+        v = nbrs[np.arange(len(tail)) + (indptr[at_u] - np.cumsum(deg) + deg)[tail]]
+        w = at_w[tail]
+        dist = np.where(h1[v] != w, d1[v], d2[v])
+        keep = (v != w) & (holder[v] | ((dist >= 0) & (dist <= L_hat - (r + 1))))
+        tail, w, v = tail[keep], w[keep], v[keep]
+        if r == 0 and len(np.unique(tail)) < len(W):
+            stuck = min(set(W) - set(w.tolist()))
+            raise ValueError(f"holder {stuck} cannot reach another holder within {L_hat} steps")
+        enters = ~holder[v]
+        nxt, into = np.unique(w[enters] * g.n + v[enters], return_inverse=True)
+        head = np.full(len(v), -1)
+        head[enters] = first + len(at_u) + into
+        steps.append((w, np.full(len(v), r), at_u[tail], v, first + tail, head))
+        states.append(at_w)
+        first += len(at_u)
+        at_w, at_u = nxt // g.n, nxt % g.n
+        if not len(at_u):
+            break
 
-    # Equality rows, keyed (w, step, vertex) and sorted, so each source row
-    # (w, 0, w) comes first: a column counts +1 in its source row or -1 in
-    # its tail's conservation row, and +1 in its head's next-step row unless
-    # the head is a holder.  A non-holder head is entered before step L_hat,
-    # since it still has a sink to reach.
-    n = len(cols)
-    arr = np.array(cols, dtype=np.int64).reshape(n, 4)
-    w, r, _, v = arr.T
-    idx = np.arange(n)
-    enters = ~np.isin(v, W)
-    keys = np.concatenate([arr[:, :3], np.stack([w, r + 1, v], axis=1)[enters]])
-    eq_keys, eq_row = np.unique(keys, axis=0, return_inverse=True)
-    a_eq = csr_matrix(
-        (
-            np.concatenate([np.where(r == 0, 1.0, -1.0), np.ones(int(enters.sum()))]),
-            (eq_row.reshape(-1), np.concatenate([idx, idx[enters]])),
-        ),
-        shape=(len(eq_keys), n + 1),
-    )
-    b_eq = (eq_keys[:, 1] == 0).astype(float)
-    # Capacity rows, one per vertex with inflow or a resident token: inflow
-    # plus resident token <= z.
-    verts = np.union1d(v, W)
-    a_ub = csr_matrix(
-        (
-            np.concatenate([np.ones(n), -np.ones(len(verts))]),
-            (
-                np.concatenate([np.searchsorted(verts, v), np.arange(len(verts))]),
-                np.concatenate([idx, np.full(len(verts), n)]),
-            ),
-        ),
-        shape=(len(verts), n + 1),
-    )
-    b_ub = -np.isin(verts, W).astype(float)
-    return FlowLP(g, W, L_hat, cols, a_eq, b_eq, a_ub, b_ub)
+    # Each step lists its columns and states by w first, so one stable
+    # sort by w orders columns by (w, step, u, v) and rows by (w, step, u).
+    w, r, u, v, tail, head = (np.concatenate(a) for a in zip(*steps))
+    order = np.argsort(w, kind="stable")
+    w, r, u, v, tail, head = (a[order] for a in (w, r, u, v, tail, head))
+    state_w = np.concatenate(states)
+    by_w = np.argsort(state_w, kind="stable")
+    eq_row = np.empty(len(state_w), dtype=np.int64)
+    eq_row[by_w] = np.arange(len(state_w))
+    b_eq = np.zeros(len(state_w))
+    b_eq[eq_row[: len(W)]] = 1.0  # states 0..|W|-1 are the sources (w, 0, w)
+    in_ub = holder.copy()
+    in_ub[v] = True
+    n_ub = int(in_ub.sum())
+    b_ub = -holder[in_ub].astype(float)
+    eq_row += n_ub
+
+    n = len(w)
+    enters = head >= 0
+    indptr = np.zeros(n + 2, dtype=np.int32)
+    np.cumsum(2 + enters, out=indptr[1 : n + 1])
+    indptr[n + 1] = indptr[n] + n_ub
+    at = indptr[:n]
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.ones(indptr[-1])
+    indices[at] = np.cumsum(in_ub)[v] - 1
+    indices[at + 1] = eq_row[tail]
+    data[at + 1] = np.where(r == 0, 1.0, -1.0)
+    indices[at[enters] + 2] = eq_row[head[enters]]
+    indices[indptr[n] :] = np.arange(n_ub)
+    data[indptr[n] :] = -1.0
+    cols = list(zip(w.tolist(), r.tolist(), u.tolist(), v.tolist()))
+    return FlowLP(g, W, L_hat, cols, b_ub, b_eq, indptr, indices, data)
 
 
 def solve_flow_lp(lp: FlowLP) -> FlowSolution:
-    """Solve the built LP to within LP_TOLERANCE; deterministic per instance."""
-    from scipy.optimize import linprog
+    """Solve the built LP with HiGHS's dual simplex; deterministic per
+    instance.
 
-    cost = np.zeros(lp.n_cols + 1)
-    cost[lp.n_cols] = 1.0
-    res = linprog(
-        cost,
-        A_ub=lp.a_ub,
-        b_ub=lp.b_ub,
-        A_eq=lp.a_eq,
-        b_eq=lp.b_eq,
-        bounds=(0, None),
-        method="highs",
-    )
-    if not res.success:
-        raise RuntimeError(f"flow LP did not solve: {res.message}")
+    The arrays go straight to scipy's bundled HiGHS binding, with the
+    options scipy.optimize.linprog(method="highs") passes (presolve on,
+    dual simplex, no output), so the solution is linprog's.  Two checks
+    apply, as in linprog: HiGHS must report the model optimal within its
+    own default primal and dual feasibility tolerances (1e-7), and the
+    solution must then meet the bounds x >= 0, the capacity rows and the
+    equality rows to within 10 * sqrt(1e-9), about 3.2e-4.  Either failing
+    raises RuntimeError.
+    """
+    # scipy is imported on first use: it is most of the package's import
+    # time, and commands that solve no LP never need it.
+    from scipy.optimize._highspy import _core as highs
+
+    n_ub, n = len(lp.b_ub), lp.n_cols + 1
+    model = highs.HighsLp()
+    model.num_col_ = model.a_matrix_.num_col_ = n
+    model.num_row_ = model.a_matrix_.num_row_ = n_ub + len(lp.b_eq)
+    model.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    model.a_matrix_.start_ = lp.indptr
+    model.a_matrix_.index_ = lp.indices
+    model.a_matrix_.value_ = lp.data
+    cost = np.zeros(n)
+    cost[-1] = 1.0
+    model.col_cost_ = cost
+    model.col_lower_ = np.zeros(n)
+    model.col_upper_ = np.full(n, highs.kHighsInf)
+    rhs = np.concatenate([lp.b_ub, lp.b_eq])
+    model.row_lower_ = np.concatenate([np.full(n_ub, -highs.kHighsInf), lp.b_eq])
+    model.row_upper_ = rhs
+    options = highs.HighsOptions()
+    options.presolve = "on"
+    options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.output_flag = False
+    solver = highs._Highs()
+    solver.passOptions(options)
+    solver.passModel(model)
+    solver.run()
+    status = solver.getModelStatus()
+    if status != highs.HighsModelStatus.kOptimal:
+        raise RuntimeError(f"flow LP did not solve: {solver.modelStatusToString(status)}")
+    solution = solver.getSolution()
+    x = np.array(solution.col_value)
+    slack = rhs - np.array(solution.row_value)
+    tol = 10 * math.sqrt(1e-9)
+    if not ((x >= -tol).all() and (slack[:n_ub] >= -tol).all()
+            and (np.abs(slack[n_ub:]) <= tol).all()):
+        raise RuntimeError(f"flow LP solution misses its constraints by more than {tol:.2E}")
     flows = {w: {} for w in lp.W}
-    x = res.x
-    for col, (w, r, u, v) in enumerate(lp.cols):
-        val = float(x[col])
-        if val > FLOW_EPS:
-            flows[w][(r, u, v)] = val
-    return FlowSolution(lp.graph, lp.W, lp.steps, float(x[lp.n_cols]), flows)
+    for col in np.flatnonzero(x[:-1] > FLOW_EPS).tolist():
+        w, r, u, v = lp.cols[col]
+        flows[w][(r, u, v)] = float(x[col])
+    return FlowSolution(lp.graph, lp.W, lp.steps, float(x[-1]), flows)
 
 
 def xi_bound(g: Graph, p: NetworkParams) -> int:

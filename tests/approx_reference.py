@@ -14,13 +14,24 @@ they were: packets take random start delays, queue in one heap per node
 keyed by (ready step, arrival order), and each send is named by its path's
 source.  With every delay 0, `_route_once` must send what `approx.opt_route`
 sends, at the same rounds, from the same nodes, to the same targets.
+
+`FlowLP`, `_sink_distances`, `build_flow_lp` and `solve_flow_lp` are the
+flow LP `approx` replaced, kept as they were: one breadth-first search per
+holder for its sink distances, the equality rows numbered by `np.unique`,
+both row blocks built through a COO to CSR conversion, and the LP solved by
+`scipy.optimize.linprog`.  `approx.build_flow_lp` must give the same
+columns and right-hand sides, and exactly the arrays linprog hands HiGHS,
+`csc_array(vstack((a_ub, a_eq)))`; so `approx.solve_flow_lp` must give the
+same z and flows.
 """
 
+from collections import deque
+from dataclasses import dataclass
 from heapq import heappop, heappush
 
 import numpy as np
 
-from tokensched.approx import FlowSolution
+from tokensched.approx import FLOW_EPS, FlowSolution
 from tokensched.core import SEND, Action, Graph, NetworkParams, Schedule, ceil_log2
 from tokensched.paths import DirectedPathSet, excise_loops
 
@@ -247,3 +258,145 @@ def gnp_connected(n: int, p: float, seed: int, max_tries: int = 1000) -> Graph:
         if g.is_connected():
             return g
     raise RuntimeError(f"no connected G({n}, {p}) sample in {max_tries} tries")
+
+
+@dataclass
+class FlowLP:
+    """A built (not yet solved) congestion LP over the time-expanded graph."""
+
+    graph: Graph
+    W: tuple
+    steps: int
+    cols: list  # (w, step, u, v) per flow column; column n_cols is z
+    a_eq: object
+    b_eq: object
+    a_ub: object
+    b_ub: object
+
+    @property
+    def n_cols(self) -> int:
+        return len(self.cols)
+
+
+def _sink_distances(g: Graph, sinks, blocked) -> list:
+    """Hop distance to the nearest sink along paths whose interior avoids
+    `blocked`; -1 when unreachable."""
+    dist = [-1] * g.n
+    q = deque()
+    for s in sinks:
+        dist[s] = 0
+        q.append(s)
+    while q:
+        u = q.popleft()
+        for v in g.adj[u]:
+            if dist[v] < 0 and v not in blocked:
+                dist[v] = dist[u] + 1
+                q.append(v)
+    return dist
+
+
+def build_flow_lp(g: Graph, W, L_hat: int) -> FlowLP:
+    """Congestion LP: one unit of flow per holder w, leaving w at step 0 and
+    absorbed at the first other holder it reaches; conservation at non-holder
+    vertices; z bounds every vertex's total inflow plus its resident token.
+
+    Flow that could neither be reached from a source nor still make it to a
+    sink within the remaining steps is pruned away column-wise.
+    """
+    # scipy is imported on first use: it is most of the package's import
+    # time, and commands that solve no LP never need it.
+    from scipy.sparse import csr_matrix
+
+    W = tuple(sorted(set(W)))
+    if len(W) < 2:
+        raise ValueError("need at least two token holders to pair off")
+    if L_hat < 1:
+        raise ValueError(f"need at least one step, got {L_hat}")
+    wset = set(W)
+    cols = []
+    for w in W:
+        dsink = _sink_distances(g, wset - {w}, blocked=wset | {w})
+        # Forward reachability of still-moving flow; holders absorb, the
+        # origin w is never re-entered.
+        first = len(cols)
+        alive = {w}
+        for r in range(L_hat):
+            nxt = set()
+            for u in sorted(alive):
+                for v in sorted(g.adj[u]):
+                    if v == w:
+                        continue
+                    if v not in wset:
+                        if dsink[v] < 0 or dsink[v] > L_hat - (r + 1):
+                            continue  # could never reach a sink in time
+                        nxt.add(v)
+                    cols.append((w, r, u, v))
+            alive = nxt
+            if not alive:
+                break
+        if len(cols) == first:
+            raise ValueError(
+                f"holder {w} cannot reach another holder within {L_hat} steps"
+            )
+
+    # Equality rows, keyed (w, step, vertex) and sorted, so each source row
+    # (w, 0, w) comes first: a column counts +1 in its source row or -1 in
+    # its tail's conservation row, and +1 in its head's next-step row unless
+    # the head is a holder.  A non-holder head is entered before step L_hat,
+    # since it still has a sink to reach.
+    n = len(cols)
+    arr = np.array(cols, dtype=np.int64).reshape(n, 4)
+    w, r, _, v = arr.T
+    idx = np.arange(n)
+    enters = ~np.isin(v, W)
+    keys = np.concatenate([arr[:, :3], np.stack([w, r + 1, v], axis=1)[enters]])
+    eq_keys, eq_row = np.unique(keys, axis=0, return_inverse=True)
+    a_eq = csr_matrix(
+        (
+            np.concatenate([np.where(r == 0, 1.0, -1.0), np.ones(int(enters.sum()))]),
+            (eq_row.reshape(-1), np.concatenate([idx, idx[enters]])),
+        ),
+        shape=(len(eq_keys), n + 1),
+    )
+    b_eq = (eq_keys[:, 1] == 0).astype(float)
+    # Capacity rows, one per vertex with inflow or a resident token: inflow
+    # plus resident token <= z.
+    verts = np.union1d(v, W)
+    a_ub = csr_matrix(
+        (
+            np.concatenate([np.ones(n), -np.ones(len(verts))]),
+            (
+                np.concatenate([np.searchsorted(verts, v), np.arange(len(verts))]),
+                np.concatenate([idx, np.full(len(verts), n)]),
+            ),
+        ),
+        shape=(len(verts), n + 1),
+    )
+    b_ub = -np.isin(verts, W).astype(float)
+    return FlowLP(g, W, L_hat, cols, a_eq, b_eq, a_ub, b_ub)
+
+
+def solve_flow_lp(lp: FlowLP) -> FlowSolution:
+    """Solve the built LP to within LP_TOLERANCE; deterministic per instance."""
+    from scipy.optimize import linprog
+
+    cost = np.zeros(lp.n_cols + 1)
+    cost[lp.n_cols] = 1.0
+    res = linprog(
+        cost,
+        A_ub=lp.a_ub,
+        b_ub=lp.b_ub,
+        A_eq=lp.a_eq,
+        b_eq=lp.b_eq,
+        bounds=(0, None),
+        method="highs",
+    )
+    if not res.success:
+        raise RuntimeError(f"flow LP did not solve: {res.message}")
+    flows = {w: {} for w in lp.W}
+    x = res.x
+    for col, (w, r, u, v) in enumerate(lp.cols):
+        val = float(x[col])
+        if val > FLOW_EPS:
+            flows[w][(r, u, v)] = val
+    return FlowSolution(lp.graph, lp.W, lp.steps, float(x[lp.n_cols]), flows)
